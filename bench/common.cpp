@@ -30,7 +30,7 @@ verifier::VerifierOptions BenchVerifierOptions() {
   o.solver.time_budget_seconds = 0.5;
   o.solver.max_invalid_models = 512;
   o.solver.wave_width =
-      static_cast<int>(EnvOrPositive("XCV_WAVE_WIDTH", 8));
+      static_cast<int>(EnvOrPositive("XCV_WAVE_WIDTH", 64));
   const double budget = EnvOr("XCV_PAIR_SECONDS", 10.0);
   o.total_time_budget_seconds =
       budget > 0.0 ? budget : std::numeric_limits<double>::infinity();

@@ -76,9 +76,11 @@ Options (verify/resume):
   --split-threshold=T  Algorithm 1 split threshold t.             [0.3125]
   --solver-nodes=N     Per-solver-call node budget.               [30000]
   --delta=D            Solver precision delta.                    [0.001]
-  --wave-width=K       Sibling boxes per batched interval sweep in the
-                       solver (1 = scalar; results are identical at any
-                       width, only the speed changes).            [8]
+  --wave-width=K       Cap on the boxes per batched interval sweep in
+                       the solver: each solver call starts at 8 lanes and
+                       doubles per wave up to K (1 = scalar; results are
+                       identical at any width, only the speed changes).
+                                                                  [64]
   --frontier=S         Frontier order: widest | suspect | fifo.   [widest]
   --checkpoint=PATH    Write checkpoints here (after every completed pair,
                        on Ctrl-C, and at the end); resume reads it.

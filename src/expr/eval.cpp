@@ -1,7 +1,8 @@
 #include "expr/eval.h"
 
 #include <cmath>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "interval/lambert_w.h"
 #include "support/check.h"
@@ -10,15 +11,82 @@ namespace xcv::expr {
 
 namespace {
 
+/// Per-call memo of EvalDouble, keyed by node id: an open-addressed table
+/// (linear probing, load factor at most 1/2) whose entries carry the epoch
+/// of the call that wrote them. Begin() starts a call by bumping the epoch,
+/// so the table empties in O(1) and its storage is reused by every later
+/// call on the same thread — model validation at the delta floor and in the
+/// verifier runs allocation-free once the table has grown to the largest
+/// formula seen. Only which nodes are looked up again changes, never how a
+/// node's value is computed, so results are bit-identical to a fresh map.
+class DoubleMemo {
+ public:
+  void Begin() {
+    if (++epoch_ == 0) {  // wrapped: every stamp could now look current
+      for (Slot& s : slots_) s.epoch = 0;
+      epoch_ = 1;
+    }
+    count_ = 0;
+    if (slots_.empty()) slots_.resize(kMinSlots);
+  }
+
+  const double* Find(std::uint32_t id) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = Hash(id) & mask;; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.epoch != epoch_) return nullptr;
+      if (s.id == id) return &s.value;
+    }
+  }
+
+  void Insert(std::uint32_t id, double value) {
+    if (2 * (count_ + 1) > slots_.size()) Grow();
+    Place(id, value);
+    ++count_;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t id = 0;
+    std::uint32_t epoch = 0;  // 0 never matches a live epoch
+    double value = 0.0;
+  };
+  static constexpr std::size_t kMinSlots = 64;
+
+  static std::size_t Hash(std::uint32_t id) {
+    return static_cast<std::size_t>((id * 0x9E3779B1u) ^ (id >> 16));
+  }
+
+  void Place(std::uint32_t id, double value) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = Hash(id) & mask;
+    while (slots_[i].epoch == epoch_) i = (i + 1) & mask;
+    slots_[i] = {id, epoch_, value};
+  }
+
+  void Grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& s : old)
+      if (s.epoch == epoch_) Place(s.id, s.value);
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t count_ = 0;
+  std::uint32_t epoch_ = 0;
+};
+
 class DoubleEvaluator {
  public:
-  explicit DoubleEvaluator(std::span<const double> env) : env_(env) {}
+  DoubleEvaluator(std::span<const double> env, DoubleMemo& memo)
+      : env_(env), memo_(memo) {
+    memo_.Begin();
+  }
 
   double Eval(const Expr& e) {
-    auto it = memo_.find(e.id());
-    if (it != memo_.end()) return it->second;
-    double v = Compute(e);
-    memo_.emplace(e.id(), v);
+    if (const double* hit = memo_.Find(e.id())) return *hit;
+    const double v = Compute(e);
+    memo_.Insert(e.id(), v);
     return v;
   }
 
@@ -88,14 +156,16 @@ class DoubleEvaluator {
   }
 
   std::span<const double> env_;
-  std::unordered_map<std::uint32_t, double> memo_;
+  DoubleMemo& memo_;
 };
 
 }  // namespace
 
 double EvalDouble(const Expr& e, std::span<const double> env) {
   XCV_CHECK(!e.IsNull());
-  return DoubleEvaluator(env).Eval(e);
+  // EvalDouble never re-enters itself, so one memo per thread suffices.
+  thread_local DoubleMemo memo;
+  return DoubleEvaluator(env, memo).Eval(e);
 }
 
 }  // namespace xcv::expr

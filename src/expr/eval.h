@@ -3,7 +3,9 @@
 // EvalDouble is IEEE double evaluation — used for model validation
 // (Algorithm 1's valid(x)) and the PB grid baseline. EvalInterval is the
 // sound enclosure — used by the solver for all verified/UNSAT claims.
-// Both memoize per distinct DAG node per call.
+// Both memoize per distinct DAG node per call. EvalDouble keeps its memo
+// table per thread and reuses it across calls, so warm calls (and the
+// EvalBool* validations built on it) do no heap allocation.
 #pragma once
 
 #include <span>

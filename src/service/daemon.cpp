@@ -149,6 +149,11 @@ std::string Daemon::JournalPath() const {
   return options_.state_dir + "/queue.json";
 }
 
+void Daemon::SaveCache() {
+  std::lock_guard<std::mutex> lock(cache_save_mu_);
+  cache_.Save(CachePath());
+}
+
 std::string Daemon::CachePath() const {
   return options_.state_dir + "/cache.json";
 }
@@ -400,7 +405,7 @@ void Daemon::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     SaveJournalLocked();
   }
-  cache_.Save(CachePath());
+  SaveCache();
   started_ = false;
   if (options_.verbose)
     std::fprintf(stderr, "[xcvd] stopped (journal + cache saved)\n");
@@ -615,7 +620,7 @@ void Daemon::RunJob(Job* job) {
   }
   // Persist the shared cache after every job so a kill between jobs keeps
   // the warmth (VerdictCache::Save is atomic + checksummed).
-  cache_.Save(CachePath());
+  SaveCache();
 }
 
 // ---- Endpoints --------------------------------------------------------------

@@ -150,6 +150,11 @@ class Daemon {
 
   /// Serializes the whole queue under mu_ and writes it durably.
   void SaveJournalLocked();
+  /// Writes the shared verdict cache durably. Saves are serialized on
+  /// cache_save_mu_ (not mu_, so HTTP handlers never wait on the write):
+  /// every save stages through the same `cache.json.tmp`, and two runners
+  /// finishing together would otherwise race on it.
+  void SaveCache();
   /// Tolerant reload: strict parse first, then torn-prefix salvage, then
   /// cold start with quarantine. Interrupted jobs re-queue.
   void LoadJournal();
@@ -175,6 +180,8 @@ class Daemon {
   DaemonOptions options_;
   cache::VerdictCache cache_;
   HttpServer server_;
+
+  std::mutex cache_save_mu_;  // see SaveCache
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -59,6 +59,9 @@ class AtomContractor {
 
   /// HC4-revise: narrows `box` in place to (a superset of) the subset
   /// satisfying the atom. Returns kEmpty if the atom holds nowhere in `box`.
+  /// The solver runs the batched equivalent (expr::ContractTapeIntervalBatch
+  /// over a wave); this scalar form is the oracle that sweep is tested
+  /// against.
   ContractOutcome Contract(std::span<Interval> box,
                            expr::TapeScratch& scratch) const;
   ContractOutcome Contract(Box& box, expr::TapeScratch& scratch) const {

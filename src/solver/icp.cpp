@@ -23,6 +23,9 @@ namespace {
 // Presample lattice chunk: bounds the batch scratch to tape slots × kChunk
 // doubles.
 constexpr std::size_t kPresampleChunk = 1024;
+// Lanes in the first wave of every Check; later waves double up to
+// SolverOptions::wave_width.
+constexpr std::size_t kFirstWaveWidth = 8;
 }  // namespace
 
 std::string SatKindName(SatKind kind) {
@@ -49,34 +52,8 @@ DeltaSolver::DeltaSolver(expr::BoolExpr formula, SolverOptions options)
   for (int atom : required_atoms_)
     is_required_[static_cast<std::size_t>(atom)] = 1;
 
-  // Reserve every evaluation scratch once, up front: the hot loop must not
-  // grow buffers lazily (one solver serves thousands of nodes per Check,
-  // and campaign workers each own a solver from the engine's free-list).
-  std::size_t max_slots = 0;
   for (const AtomContractor& c : contractors_)
-    max_slots = std::max(max_slots, c.tape().size());
-  scratch_.Reserve(max_slots);
-  interval_batch_.Reserve(max_slots,
-                          static_cast<std::size_t>(options_.wave_width));
-  // The presample lattice never exceeds presample_points points, so cap the
-  // chunk reservation accordingly (and skip it entirely when presampling is
-  // off — engine workers each own a solver, so idle scratch multiplies).
-  if (options_.presample_points > 0) {
-    presample_.batch.Reserve(
-        max_slots,
-        std::min(kPresampleChunk,
-                 static_cast<std::size_t>(options_.presample_points)));
-  }
-  const auto width = static_cast<std::size_t>(options_.wave_width);
-  req_batch_.resize(required_atoms_.size());
-  for (std::size_t r = 0; r < required_atoms_.size(); ++r)
-    req_batch_[r].Reserve(
-        contractors_[static_cast<std::size_t>(required_atoms_[r])]
-            .tape()
-            .size(),
-        width);
-  backward_.Reserve(max_slots, width);
-
+    max_slots_ = std::max(max_slots_, c.tape().size());
   cache_scope_ = ComputeCacheScope();
 }
 
@@ -197,7 +174,7 @@ void DeltaSolver::CollectRequiredAtoms(const FNode& node,
   }
 }
 
-DeltaSolver::Tri DeltaSolver::EvaluateSkeleton(
+Tri DeltaSolver::EvaluateSkeleton(
     const FNode& node, const std::vector<Tri>& atom_status) const {
   switch (node.kind) {
     case BoolExpr::Kind::kTrue: return Tri::kTrue;
@@ -226,6 +203,25 @@ DeltaSolver::Tri DeltaSolver::EvaluateSkeleton(
   return Tri::kUnknown;
 }
 
+Tri DeltaSolver::EvaluateStatuses(
+    const char* statuses, std::vector<Tri>& atom_status) const {
+  atom_status.resize(contractors_.size());
+  for (std::size_t a = 0; a < contractors_.size(); ++a) {
+    switch (static_cast<AtomContractor::Status>(statuses[a])) {
+      case AtomContractor::Status::kCertainlyTrue:
+        atom_status[a] = Tri::kTrue;
+        break;
+      case AtomContractor::Status::kCertainlyFalse:
+        atom_status[a] = Tri::kFalse;
+        break;
+      case AtomContractor::Status::kUnknown:
+        atom_status[a] = Tri::kUnknown;
+        break;
+    }
+  }
+  return EvaluateSkeleton(skeleton_, atom_status);
+}
+
 bool DeltaSolver::ValidateModel(std::span<const double> model) const {
   return expr::EvalBool(formula_, model);
 }
@@ -249,19 +245,94 @@ bool DeltaSolver::EvaluateSkeletonExact(
   return false;
 }
 
-bool DeltaSolver::PresampleLattice(const Box& domain, CheckResult& result) {
+SolverWorkspace& SolverWorkspace::ForThisThread() {
+  thread_local SolverWorkspace ws;
+  return ws;
+}
+
+// One Check (or ClassifyBoxes) call: the immutable solver, the workspace it
+// runs on, and the stats it fills. Holds the workspace exclusively for its
+// lifetime.
+class DeltaSolver::Run {
+ public:
+  Run(const DeltaSolver& solver, SolverWorkspace& ws, SolverStats* stats)
+      : s_(solver), ws_(ws), stats_(stats) {
+    XCV_CHECK_MSG(!ws_.busy, "solver workspace used by two calls at once");
+    ws_.busy = true;
+  }
+  ~Run() { ws_.busy = false; }
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
+
+  /// Presample lattice probing, batched over the atom tapes. Returns true
+  /// and fills `result` when a genuine model was found.
+  bool PresampleLattice(const Box& domain, CheckResult& result);
+
+  /// Re-keys the frontier and wave buffers for `domain` (waves of at most
+  /// `max_lanes` lanes) and pushes the root box.
+  void BeginSearch(const Box& domain, std::size_t max_lanes);
+
+  /// Allocates a frontier slot holding ws.tmp_box and marks it
+  /// unclassified (sizing the per-slot side arrays as needed).
+  BoxStore::Ref NewNodeFromTmp();
+
+  /// Classifies `popped` plus up to width-1 other unclassified stack boxes,
+  /// then speculatively expands the subtree below them breadth-first — DFS
+  /// alone only ever exposes a couple of unclassified siblings, which would
+  /// starve the wide lanes. Each level runs ClassifyContractWave (batched
+  /// classify + full HC4 fixpoint precompute); because the fixpoint yields
+  /// every surviving lane's final contracted box, the split the pop will
+  /// perform is known now, so ExpandWaveChildren materializes the two
+  /// halves and they become the next level's wave, doubling until the
+  /// level outgrows `width` (total work per call is capped at ~2×width
+  /// lanes). Pops later walk this prebuilt subtree in the exact scalar
+  /// order; verdicts, boxes, and stats are bit-identical to the scalar path
+  /// at every wave width and ISA tier — speculation past an early return
+  /// only costs wall time.
+  ///
+  /// `pops_left` counts the pops the node budget still allows, this one
+  /// included: more lanes than that could never all be popped, so neither
+  /// a level nor the whole expansion grows past it.
+  void ClassifyWave(BoxStore::Ref popped, std::size_t width,
+                    std::uint64_t pops_left);
+
+ private:
+  /// One batched pass over ws.wave_refs: forward classification sweeps per
+  /// atom into the status arena, then the complete rounds × required-atoms
+  /// HC4 fixpoint loop over every skeleton-undecided lane — batched forward
+  /// + backward sweeps with per-lane masks replicating the scalar loop's
+  /// empty/fixpoint early exits — scattering each lane's final box,
+  /// emptiness, and contraction-call count into the ref-indexed bwd_*
+  /// arenas replayed at pop.
+  void ClassifyContractWave();
+  /// Pre-splits the surviving lanes of the wave just contracted (skeleton
+  /// undecided, not proved empty, wider than delta): bisects each lane's
+  /// final box on its widest dimension exactly as pop step 4 will,
+  /// allocates the two child slots, records them in the child arena, and
+  /// collects them into ws.next_refs as the next expansion level.
+  void ExpandWaveChildren();
+
+  const DeltaSolver& s_;
+  SolverWorkspace& ws_;
+  SolverStats* stats_;  // for measure_phases; null in ClassifyBoxes
+};
+
+bool DeltaSolver::Run::PresampleLattice(const Box& domain,
+                                        CheckResult& result) {
+  const SolverOptions& options = s_.options_;
   const std::size_t dims = domain.size();
+  const std::size_t atoms = s_.contractors_.size();
   const auto per_dim = static_cast<std::size_t>(std::max(
       2.0,
-      std::floor(std::pow(static_cast<double>(options_.presample_points),
+      std::floor(std::pow(static_cast<double>(options.presample_points),
                           1.0 / static_cast<double>(dims)))));
   std::size_t total = 1;
   for (std::size_t d = 0; d < dims; ++d) total *= per_dim;
 
   // Deterministic interior lattice, laid out structure-of-arrays so each
   // atom tape runs once over all points instead of once per point.
-  auto& coords = presample_.coords;
-  coords.resize(dims);
+  auto& coords = ws_.coords;
+  if (coords.size() < dims) coords.resize(dims);
   for (std::size_t d = 0; d < dims; ++d) coords[d].resize(total);
   for (std::size_t i = 0; i < total; ++i) {
     std::size_t rest = i;
@@ -274,35 +345,43 @@ bool DeltaSolver::PresampleLattice(const Box& domain, CheckResult& result) {
     }
   }
 
-  auto& values = presample_.values;
-  values.resize(contractors_.size());
-  std::vector<const double*> inputs(dims);
-  for (std::size_t a = 0; a < contractors_.size(); ++a) {
+  // The lattice never exceeds presample_points points, so the chunk
+  // reservation is capped accordingly.
+  ws_.batch.Reserve(
+      s_.max_slots_,
+      std::min(kPresampleChunk,
+               static_cast<std::size_t>(options.presample_points)));
+  auto& values = ws_.values;
+  if (values.size() < atoms) values.resize(atoms);
+  ws_.inputs.resize(dims);
+  for (std::size_t a = 0; a < atoms; ++a) {
     values[a].resize(total);
-    const expr::Tape& tape = contractors_[a].tape();
+    const expr::Tape& tape = s_.contractors_[a].tape();
     for (std::size_t start = 0; start < total; start += kPresampleChunk) {
       const std::size_t n = std::min(kPresampleChunk, total - start);
       for (std::size_t d = 0; d < dims; ++d)
-        inputs[d] = coords[d].data() + start;
-      expr::EvalTapeBatch(tape, inputs, n, values[a].data() + start,
-                          presample_.batch);
+        ws_.inputs[d] = coords[d].data() + start;
+      expr::EvalTapeBatch(tape, ws_.inputs, n, values[a].data() + start,
+                          ws_.batch);
     }
   }
 
-  std::vector<char> atom_truth(contractors_.size(), 0);
-  std::vector<double> point(dims);
+  std::vector<char>& atom_truth = ws_.atom_truth;
+  atom_truth.resize(atoms);
+  std::vector<double>& point = ws_.point;
+  point.resize(dims);
   for (std::size_t i = 0; i < total; ++i) {
-    for (std::size_t a = 0; a < contractors_.size(); ++a) {
+    for (std::size_t a = 0; a < atoms; ++a) {
       const double v = values[a][i];
       atom_truth[a] =
-          contractors_[a].rel() == expr::Rel::kLe ? v <= 0.0 : v < 0.0;
+          s_.contractors_[a].rel() == expr::Rel::kLe ? v <= 0.0 : v < 0.0;
     }
-    if (!EvaluateSkeletonExact(skeleton_, atom_truth)) continue;
+    if (!s_.EvaluateSkeletonExact(s_.skeleton_, atom_truth)) continue;
     for (std::size_t d = 0; d < dims; ++d) point[d] = coords[d][i];
     // The batch screen ran on optimized tapes; confirm with the exact
     // evaluator before reporting, so returned models are genuine under
     // IEEE semantics exactly as before.
-    if (!expr::EvalBool(formula_, point)) continue;
+    if (!expr::EvalBool(s_.formula_, point)) continue;
     result.kind = SatKind::kDeltaSat;
     result.model = point;
     std::vector<Interval> dims_iv;
@@ -314,75 +393,142 @@ bool DeltaSolver::PresampleLattice(const Box& domain, CheckResult& result) {
   return false;
 }
 
-BoxStore::Ref DeltaSolver::NewNodeFromTmp() {
-  const BoxStore::Ref ref = store_.AllocateCopy(tmp_box_);
-  const std::size_t atoms = contractors_.size();
-  if (classified_.size() < store_.capacity()) {
-    classified_.resize(store_.capacity(), 0);
-    status_arena_.resize(store_.capacity() * atoms);
-    bwd_valid_.resize(store_.capacity(), 0);
-    bwd_empty_arena_.resize(store_.capacity());
-    bwd_count_arena_.resize(store_.capacity());
-    bwd_box_arena_.resize(store_.capacity() * store_.dims() * 2);
-    child_arena_.resize(store_.capacity() * 2, -1);
+void DeltaSolver::Run::BeginSearch(const Box& domain, std::size_t max_lanes) {
+  // Dimensions and atom counts change between calls (different domains,
+  // different solvers on this workspace), so every buffer is re-keyed here;
+  // the memory is retained across calls.
+  const std::size_t dims = domain.size();
+  SolverWorkspace& ws = ws_;
+  ws.store.Reset(dims);
+  ws.stack.clear();
+  ws.classified.clear();
+  ws.status_arena.clear();
+  ws.bwd_valid.clear();
+  ws.bwd_empty_arena.clear();
+  ws.bwd_count_arena.clear();
+  ws.bwd_box_arena.clear();
+  ws.child_arena.clear();
+
+  // Reserve the wave scratch for the widest wave this call can run, so the
+  // ramp never regrows it mid-search (reserve is a no-op once warm).
+  const std::size_t stride = max_lanes;
+  ws.wave_stride = stride;
+  ws.interval_batch.Reserve(s_.max_slots_, stride);
+  const std::size_t nreq = s_.required_atoms_.size();
+  if (ws.req_batch.size() < nreq) ws.req_batch.resize(nreq);
+  for (std::size_t r = 0; r < nreq; ++r)
+    ws.req_batch[r].Reserve(
+        s_.contractors_[static_cast<std::size_t>(s_.required_atoms_[r])]
+            .tape()
+            .size(),
+        stride);
+  ws.backward.Reserve(s_.max_slots_, stride);
+  ws.wave_lo.resize(dims * stride);
+  ws.wave_hi.resize(dims * stride);
+  ws.bwd_lo.resize(dims * stride);
+  ws.bwd_hi.resize(dims * stride);
+  ws.wave_lo_ptrs.resize(dims);
+  ws.wave_hi_ptrs.resize(dims);
+  ws.bwd_lo_ptrs.resize(dims);
+  ws.bwd_hi_ptrs.resize(dims);
+  ws.bwd_clo_ptrs.resize(dims);
+  ws.bwd_chi_ptrs.resize(dims);
+  for (std::size_t d = 0; d < dims; ++d) {
+    ws.wave_lo_ptrs[d] = ws.wave_lo.data() + d * stride;
+    ws.wave_hi_ptrs[d] = ws.wave_hi.data() + d * stride;
+    ws.bwd_clo_ptrs[d] = ws.bwd_lo_ptrs[d] = ws.bwd_lo.data() + d * stride;
+    ws.bwd_chi_ptrs[d] = ws.bwd_hi_ptrs[d] = ws.bwd_hi.data() + d * stride;
   }
-  classified_[static_cast<std::size_t>(ref)] = 0;
-  child_arena_[static_cast<std::size_t>(ref) * 2] = -1;
-  child_arena_[static_cast<std::size_t>(ref) * 2 + 1] = -1;
+  ws.wave_active.resize(stride);
+  ws.wave_any.resize(stride);
+  ws.wave_done.resize(stride);
+  ws.wave_empty.resize(stride);
+  ws.wave_unknown.resize(stride);
+  ws.wave_count.resize(stride);
+  ws.wave_outcome.resize(stride);
+
+  ws.tmp_box.assign(domain.dims().begin(), domain.dims().end());
+  ws.stack.push_back(NewNodeFromTmp());
+}
+
+BoxStore::Ref DeltaSolver::Run::NewNodeFromTmp() {
+  SolverWorkspace& ws = ws_;
+  const BoxStore::Ref ref = ws.store.AllocateCopy(ws.tmp_box);
+  const std::size_t atoms = s_.contractors_.size();
+  const std::size_t capacity = ws.store.capacity();
+  if (ws.classified.size() < capacity) {
+    ws.classified.resize(capacity, 0);
+    ws.status_arena.resize(capacity * atoms);
+    ws.bwd_valid.resize(capacity, 0);
+    ws.bwd_empty_arena.resize(capacity);
+    ws.bwd_count_arena.resize(capacity);
+    ws.bwd_box_arena.resize(capacity * ws.store.dims() * 2);
+    ws.child_arena.resize(capacity * 2, -1);
+  }
+  const auto r = static_cast<std::size_t>(ref);
+  ws.classified[r] = 0;
+  ws.child_arena[r * 2] = -1;
+  ws.child_arena[r * 2 + 1] = -1;
   return ref;
 }
 
-void DeltaSolver::ClassifyWave(BoxStore::Ref popped) {
+void DeltaSolver::Run::ClassifyWave(BoxStore::Ref popped, std::size_t width,
+                                    std::uint64_t pops_left) {
+  width = static_cast<std::size_t>(std::min<std::uint64_t>(width, pops_left));
+
   // Level 0: the popped box plus the unclassified open boxes nearest the
   // top of the stack. Those boxes will be popped later with these exact
   // bounds (stack entries are immutable until popped), so classifying them
   // early is pure speculation-free batching: after a split, the two fresh
   // children ride the same sweep, and deeper stack boxes fill the
   // remaining lanes.
-  const auto width = static_cast<std::size_t>(options_.wave_width);
-  wave_refs_.clear();
-  wave_refs_.push_back(popped);
-  for (auto it = stack_.rbegin();
-       it != stack_.rend() && wave_refs_.size() < width; ++it)
-    if (!classified_[static_cast<std::size_t>(*it)]) wave_refs_.push_back(*it);
+  SolverWorkspace& ws = ws_;
+  ws.wave_refs.clear();
+  ws.wave_refs.push_back(popped);
+  for (auto it = ws.stack.rbegin();
+       it != ws.stack.rend() && ws.wave_refs.size() < width; ++it)
+    if (!ws.classified[static_cast<std::size_t>(*it)])
+      ws.wave_refs.push_back(*it);
 
   // Speculative breadth-first descent. DFS alone only ever exposes one or
   // two unclassified siblings per pop, which would starve the wide lanes —
   // but the fixpoint precompute already yields each surviving lane's final
   // contracted box, so the split the pop will perform is known right now.
   // Materialize the two halves and classify the children as the next wave,
-  // doubling the level until it outgrows wave_width (the `expanded` cap
+  // doubling the level until it outgrows the width (the `expanded` cap
   // bounds work per call when prunes keep the level narrow). Pops later
   // walk this prebuilt subtree in the exact scalar order: the tree is the
   // future search tree, so nothing here is wasted except past an early
   // return, and verdicts, boxes, and stats are byte-identical throughout.
   std::size_t expanded = 0;
-  while (!wave_refs_.empty() && wave_refs_.size() <= width &&
-         expanded < 2 * width) {
+  while (!ws.wave_refs.empty() && ws.wave_refs.size() <= width &&
+         expanded < 2 * width && expanded + ws.wave_refs.size() <= pops_left) {
     ClassifyContractWave();
-    expanded += wave_refs_.size();
+    expanded += ws.wave_refs.size();
     ExpandWaveChildren();
-    wave_refs_.swap(next_refs_);
+    ws.wave_refs.swap(ws.next_refs);
   }
 }
 
-void DeltaSolver::ClassifyContractWave() {
-  const auto width = static_cast<std::size_t>(options_.wave_width);
-  const std::size_t k_boxes = wave_refs_.size();
-  const std::size_t dims = store_.dims();
+void DeltaSolver::Run::ClassifyContractWave() {
+  SolverWorkspace& ws = ws_;
+  const SolverOptions& options = s_.options_;
+  const std::size_t stride = ws.wave_stride;
+  const std::size_t k_boxes = ws.wave_refs.size();
+  const std::size_t dims = ws.store.dims();
   for (std::size_t d = 0; d < dims; ++d) {
-    double* lo = wave_lo_.data() + d * width;
-    double* hi = wave_hi_.data() + d * width;
+    double* lo = ws.wave_lo.data() + d * stride;
+    double* hi = ws.wave_hi.data() + d * stride;
     for (std::size_t k = 0; k < k_boxes; ++k) {
-      const Interval& iv = store_.View(wave_refs_[k])[d];
+      const Interval& iv = ws.store.View(ws.wave_refs[k])[d];
       lo[k] = iv.lo();
       hi[k] = iv.hi();
     }
   }
 
-  const std::size_t atoms = contractors_.size();
-  const std::size_t nreq = required_atoms_.size();
-  const bool measure = options_.measure_phases && phase_stats_ != nullptr;
+  const std::size_t atoms = s_.contractors_.size();
+  const std::size_t nreq = s_.required_atoms_.size();
+  const bool measure = options.measure_phases && stats_ != nullptr;
   Stopwatch classify_watch;
   // Per-wave (not per-node) phase spans: one relaxed load when no trace is
   // armed, so the kernels stay clean of clock reads in normal runs.
@@ -394,75 +540,55 @@ void DeltaSolver::ClassifyContractWave() {
   // lanes survive until the backward pass below; the rest share one.
   std::size_t r = 0;
   for (std::size_t a = 0; a < atoms; ++a) {
-    const expr::Tape& tape = contractors_[a].tape();
+    const AtomContractor& contractor = s_.contractors_[a];
+    const expr::Tape& tape = contractor.tape();
     expr::TapeIntervalBatchScratch& fb =
-        is_required_[a] ? req_batch_[r] : interval_batch_;
-    expr::EvalTapeIntervalBatch(tape, wave_lo_ptrs_, wave_hi_ptrs_, k_boxes,
-                                fb);
+        s_.is_required_[a] ? ws.req_batch[r] : ws.interval_batch;
+    expr::EvalTapeIntervalBatch(tape, ws.wave_lo_ptrs, ws.wave_hi_ptrs,
+                                k_boxes, fb);
     const auto root = static_cast<std::size_t>(tape.root());
     for (std::size_t k = 0; k < k_boxes; ++k) {
-      status_arena_[static_cast<std::size_t>(wave_refs_[k]) * atoms + a] =
-          static_cast<char>(contractors_[a].ClassifyRoot(fb.At(root, k)));
+      ws.status_arena[static_cast<std::size_t>(ws.wave_refs[k]) * atoms + a] =
+          static_cast<char>(contractor.ClassifyRoot(fb.At(root, k)));
     }
-    r += is_required_[a];
+    r += s_.is_required_[a];
   }
   for (std::size_t k = 0; k < k_boxes; ++k)
-    classified_[static_cast<std::size_t>(wave_refs_[k])] = 1;
-  if (measure) phase_stats_->classify_seconds += classify_watch.ElapsedSeconds();
+    ws.classified[static_cast<std::size_t>(ws.wave_refs[k])] = 1;
+  if (measure) stats_->classify_seconds += classify_watch.ElapsedSeconds();
   if (tracing)
     trec.RecordComplete("classify", "xcv", trace_t0,
                         trec.NowUs() - trace_t0,
                         "\"boxes\":" + std::to_string(k_boxes));
 
   // Batched HC4 fixpoint over every undecided lane: the exact rounds ×
-  // required-atoms loop the pop path used to run per box, precomputed for
-  // the whole wave and replayed at pop. Per-lane masks replicate the scalar
-  // control flow — a lane stops taking sweeps the moment its box proves
-  // empty, and leaves the loop after a round with no contraction — so each
-  // lane's narrowing sequence, final box, and contraction-call count are
-  // exactly what the scalar loop produces for that box.
+  // required-atoms loop a pop would run per box, precomputed for the whole
+  // wave and replayed at pop. Per-lane masks replicate the scalar control
+  // flow — a lane stops taking sweeps the moment its box proves empty, and
+  // leaves the loop after a round with no contraction — so each lane's
+  // narrowing sequence, final box, and contraction-call count are exactly
+  // what the scalar loop (AtomContractor::Contract per required atom)
+  // produces for that box.
   Stopwatch contract_watch;
   const std::uint64_t trace_t1 = tracing ? trec.NowUs() : 0;
-  wave_active_.resize(width);
-  wave_any_.resize(width);
-  wave_done_.resize(width);
-  wave_empty_.resize(width);
-  wave_unknown_.resize(width);
-  wave_count_.resize(width);
-  wave_outcome_.resize(width);
-  wave_atom_status_.resize(atoms);
   std::size_t undecided = 0;
-  const bool can_precompute = nreq > 0 && options_.contraction_rounds > 0;
+  const bool can_precompute = s_.CanContract();
   for (std::size_t k = 0; k < k_boxes; ++k) {
-    const auto ref_k = static_cast<std::size_t>(wave_refs_[k]);
-    const char* st = status_arena_.data() + ref_k * atoms;
-    for (std::size_t a = 0; a < atoms; ++a) {
-      switch (static_cast<AtomContractor::Status>(st[a])) {
-        case AtomContractor::Status::kCertainlyTrue:
-          wave_atom_status_[a] = Tri::kTrue;
-          break;
-        case AtomContractor::Status::kCertainlyFalse:
-          wave_atom_status_[a] = Tri::kFalse;
-          break;
-        case AtomContractor::Status::kUnknown:
-          wave_atom_status_[a] = Tri::kUnknown;
-          break;
-      }
-    }
+    const auto ref_k = static_cast<std::size_t>(ws.wave_refs[k]);
     // Decided lanes are pruned or accepted at pop before any contraction;
     // only Tri::kUnknown lanes consult the arena.
     const bool unknown =
-        EvaluateSkeleton(skeleton_, wave_atom_status_) == Tri::kUnknown;
-    wave_done_[k] = !unknown;
-    wave_unknown_[k] = unknown;
-    wave_empty_[k] = 0;
-    wave_count_[k] = 0;
-    bwd_valid_[ref_k] = unknown && can_precompute;
+        s_.EvaluateStatuses(ws.status_arena.data() + ref_k * atoms,
+                            ws.atom_status) == Tri::kUnknown;
+    ws.wave_done[k] = !unknown;
+    ws.wave_unknown[k] = unknown;
+    ws.wave_empty[k] = 0;
+    ws.wave_count[k] = 0;
+    ws.bwd_valid[ref_k] = unknown && can_precompute;
     undecided += unknown;
   }
   if (!can_precompute || undecided == 0) {
-    if (measure)
-      phase_stats_->contract_seconds += contract_watch.ElapsedSeconds();
+    if (measure) stats_->contract_seconds += contract_watch.ElapsedSeconds();
     if (tracing)
       trec.RecordComplete("contract", "xcv", trace_t1,
                           trec.NowUs() - trace_t1,
@@ -471,113 +597,118 @@ void DeltaSolver::ClassifyContractWave() {
   }
 
   // Working boxes: start from the wave bounds, narrow in place.
-  std::memcpy(bwd_lo_.data(), wave_lo_.data(), dims * width * sizeof(double));
-  std::memcpy(bwd_hi_.data(), wave_hi_.data(), dims * width * sizeof(double));
+  std::memcpy(ws.bwd_lo.data(), ws.wave_lo.data(),
+              dims * stride * sizeof(double));
+  std::memcpy(ws.bwd_hi.data(), ws.wave_hi.data(),
+              dims * stride * sizeof(double));
 
-  // While no lane has narrowed, the classification sweeps in req_batch_ are
+  // While no lane has narrowed, the classification sweeps in req_batch are
   // the forward enclosures of the current boxes; afterwards each atom's
   // sweep is re-run on the narrowed boxes (bit-identical for lanes whose
   // box did not change — same inputs, same kernels).
   bool wave_untouched = true;
-  for (int round = 0; round < options_.contraction_rounds; ++round) {
+  for (int round = 0; round < options.contraction_rounds; ++round) {
     std::size_t in_round = 0;
     for (std::size_t k = 0; k < k_boxes; ++k) {
-      wave_active_[k] = !wave_done_[k];
-      wave_any_[k] = 0;
-      in_round += wave_active_[k];
+      ws.wave_active[k] = !ws.wave_done[k];
+      ws.wave_any[k] = 0;
+      in_round += ws.wave_active[k];
     }
     if (in_round == 0) break;
     for (std::size_t rr = 0; rr < nreq; ++rr) {
-      const auto a = static_cast<std::size_t>(required_atoms_[rr]);
-      expr::TapeIntervalBatchScratch* fwd = &req_batch_[rr];
+      const auto a = static_cast<std::size_t>(s_.required_atoms_[rr]);
+      const expr::Tape& tape = s_.contractors_[a].tape();
+      expr::TapeIntervalBatchScratch* fwd = &ws.req_batch[rr];
       if (round != 0 || !wave_untouched) {
-        fwd = &interval_batch_;
-        expr::EvalTapeIntervalBatch(contractors_[a].tape(), bwd_clo_ptrs_,
-                                    bwd_chi_ptrs_, k_boxes, *fwd);
+        fwd = &ws.interval_batch;
+        expr::EvalTapeIntervalBatch(tape, ws.bwd_clo_ptrs, ws.bwd_chi_ptrs,
+                                    k_boxes, *fwd);
       }
       for (std::size_t k = 0; k < k_boxes; ++k)
-        wave_count_[k] += wave_active_[k];
-      expr::ContractTapeIntervalBatch(contractors_[a].tape(), *fwd,
-                                      bwd_lo_ptrs_, bwd_hi_ptrs_, k_boxes,
-                                      wave_active_.data(),
-                                      wave_outcome_.data(), backward_);
+        ws.wave_count[k] += ws.wave_active[k];
+      expr::ContractTapeIntervalBatch(tape, *fwd, ws.bwd_lo_ptrs,
+                                      ws.bwd_hi_ptrs, k_boxes,
+                                      ws.wave_active.data(),
+                                      ws.wave_outcome.data(), ws.backward);
       for (std::size_t k = 0; k < k_boxes; ++k) {
-        if (!wave_active_[k]) continue;
-        if (wave_outcome_[k] == expr::kContractLaneEmpty) {
-          wave_empty_[k] = 1;
-          wave_done_[k] = 1;
-          wave_active_[k] = 0;  // the scalar loop breaks out on empty
-        } else if (wave_outcome_[k] == expr::kContractLaneContracted) {
-          wave_any_[k] = 1;
+        if (!ws.wave_active[k]) continue;
+        if (ws.wave_outcome[k] == expr::kContractLaneEmpty) {
+          ws.wave_empty[k] = 1;
+          ws.wave_done[k] = 1;
+          ws.wave_active[k] = 0;  // the scalar loop breaks out on empty
+        } else if (ws.wave_outcome[k] == expr::kContractLaneContracted) {
+          ws.wave_any[k] = 1;
           wave_untouched = false;
         }
       }
     }
     for (std::size_t k = 0; k < k_boxes; ++k)
-      if (wave_active_[k] && !wave_any_[k]) wave_done_[k] = 1;
+      if (ws.wave_active[k] && !ws.wave_any[k]) ws.wave_done[k] = 1;
   }
 
   for (std::size_t k = 0; k < k_boxes; ++k) {
-    const auto ref_k = static_cast<std::size_t>(wave_refs_[k]);
-    if (!bwd_valid_[ref_k]) continue;
-    bwd_empty_arena_[ref_k] = wave_empty_[k];
-    bwd_count_arena_[ref_k] = wave_count_[k];
-    if (!wave_empty_[k]) {
-      double* dst = bwd_box_arena_.data() + ref_k * dims * 2;
+    const auto ref_k = static_cast<std::size_t>(ws.wave_refs[k]);
+    if (!ws.bwd_valid[ref_k]) continue;
+    ws.bwd_empty_arena[ref_k] = ws.wave_empty[k];
+    ws.bwd_count_arena[ref_k] = ws.wave_count[k];
+    if (!ws.wave_empty[k]) {
+      double* dst = ws.bwd_box_arena.data() + ref_k * dims * 2;
       for (std::size_t d = 0; d < dims; ++d) {
-        dst[2 * d] = bwd_lo_[d * width + k];
-        dst[2 * d + 1] = bwd_hi_[d * width + k];
+        dst[2 * d] = ws.bwd_lo[d * stride + k];
+        dst[2 * d + 1] = ws.bwd_hi[d * stride + k];
       }
     }
   }
-  if (measure) phase_stats_->contract_seconds += contract_watch.ElapsedSeconds();
+  if (measure) stats_->contract_seconds += contract_watch.ElapsedSeconds();
   if (tracing)
     trec.RecordComplete("contract", "xcv", trace_t1,
                         trec.NowUs() - trace_t1,
                         "\"boxes\":" + std::to_string(k_boxes));
 }
 
-void DeltaSolver::ExpandWaveChildren() {
-  next_refs_.clear();
-  const std::size_t dims = store_.dims();
-  const std::size_t k_boxes = wave_refs_.size();
+void DeltaSolver::Run::ExpandWaveChildren() {
+  SolverWorkspace& ws = ws_;
+  ws.next_refs.clear();
+  const std::size_t dims = ws.store.dims();
+  const std::size_t k_boxes = ws.wave_refs.size();
   for (std::size_t k = 0; k < k_boxes; ++k) {
     // Decided lanes are pruned or accepted at pop before any split, empty
     // lanes are pruned after the arena replay, and delta-floor lanes
     // terminate — only the rest reach pop step 4's bisect.
-    if (!wave_unknown_[k]) continue;
-    const BoxStore::Ref ref = wave_refs_[k];
+    if (!ws.wave_unknown[k]) continue;
+    const BoxStore::Ref ref = ws.wave_refs[k];
     const auto ref_k = static_cast<std::size_t>(ref);
     // The box the pop will bisect: the fixpoint's final box when one was
     // precomputed, the original bounds otherwise (contraction disabled).
-    // Copied into tmp_box_ before allocating — NewNodeFromTmp can grow the
+    // Copied into tmp_box before allocating — NewNodeFromTmp can grow the
     // arenas and the store.
-    if (bwd_valid_[ref_k] != 0) {
-      if (bwd_empty_arena_[ref_k] != 0) continue;
-      const double* src = bwd_box_arena_.data() + ref_k * dims * 2;
-      tmp_box_.resize(dims);
+    if (ws.bwd_valid[ref_k] != 0) {
+      if (ws.bwd_empty_arena[ref_k] != 0) continue;
+      const double* src = ws.bwd_box_arena.data() + ref_k * dims * 2;
+      ws.tmp_box.resize(dims);
       for (std::size_t d = 0; d < dims; ++d)
-        tmp_box_[d] = Interval(src[2 * d], src[2 * d + 1]);
+        ws.tmp_box[d] = Interval(src[2 * d], src[2 * d + 1]);
     } else {
-      const std::span<Interval> view = store_.View(ref);
-      tmp_box_.assign(view.begin(), view.end());
+      const std::span<Interval> view = ws.store.View(ref);
+      ws.tmp_box.assign(view.begin(), view.end());
     }
-    if (solver::MaxWidth(tmp_box_) <= options_.delta) continue;
-    const std::size_t widest = solver::WidestDim(tmp_box_);
+    if (solver::MaxWidth(ws.tmp_box) <= s_.options_.delta) continue;
+    const std::size_t widest = solver::WidestDim(ws.tmp_box);
     Interval left, right;
-    tmp_box_[widest].Bisect(&left, &right);
-    tmp_box_[widest] = right;
+    ws.tmp_box[widest].Bisect(&left, &right);
+    ws.tmp_box[widest] = right;
     const BoxStore::Ref right_ref = NewNodeFromTmp();
-    tmp_box_[widest] = left;
+    ws.tmp_box[widest] = left;
     const BoxStore::Ref left_ref = NewNodeFromTmp();
-    child_arena_[ref_k * 2] = left_ref;
-    child_arena_[ref_k * 2 + 1] = right_ref;
-    next_refs_.push_back(left_ref);
-    next_refs_.push_back(right_ref);
+    ws.child_arena[ref_k * 2] = left_ref;
+    ws.child_arena[ref_k * 2 + 1] = right_ref;
+    ws.next_refs.push_back(left_ref);
+    ws.next_refs.push_back(right_ref);
   }
 }
 
-CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
+CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache,
+                               SolverWorkspace& ws) const {
   CheckResult result;
   Stopwatch watch;
   const Deadline deadline =
@@ -616,57 +747,31 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
     }
   }
 
+  Run run(*this, ws, &result.stats);
+
   // Model guessing: probe an interior lattice before any interval work. The
   // lattice is evaluated in batch over the atoms' optimized tapes; hits are
   // confirmed with the exact evaluator before being reported.
-  if (options_.presample_points > 0 && PresampleLattice(domain, result)) {
+  if (options_.presample_points > 0 && run.PresampleLattice(domain, result)) {
     MaybeRecord(domain, result, /*deadline_stopped=*/false);
     result.stats.seconds = watch.ElapsedSeconds();
     return result;
   }
 
-  // Frontier setup: pooled flat slots, refs on a LIFO stack. Dimensions can
-  // change between Check calls (different domains), so re-key the store;
-  // its arena memory is retained across calls.
+  // Wave widths ramp from kFirstWaveWidth up to the wave_width cap, and a
+  // wave never classifies more boxes than the node budget can still pop.
+  const auto cap = static_cast<std::size_t>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(options_.wave_width),
+      std::max<std::uint64_t>(options_.max_nodes, 1)));
+  std::size_t ramp = std::min<std::size_t>(kFirstWaveWidth, cap);
+  run.BeginSearch(domain, cap);
+
   const std::size_t dims = domain.size();
   const std::size_t atoms = contractors_.size();
-  store_.Reset(dims);
-  stack_.clear();
-  classified_.clear();
-  status_arena_.clear();
-  bwd_valid_.clear();
-  bwd_empty_arena_.clear();
-  bwd_count_arena_.clear();
-  bwd_box_arena_.clear();
-  child_arena_.clear();
-  phase_stats_ = &result.stats;
-  const auto width = static_cast<std::size_t>(options_.wave_width);
-  wave_lo_.resize(dims * width);
-  wave_hi_.resize(dims * width);
-  wave_lo_ptrs_.resize(dims);
-  wave_hi_ptrs_.resize(dims);
-  bwd_lo_.resize(dims * width);
-  bwd_hi_.resize(dims * width);
-  bwd_lo_ptrs_.resize(dims);
-  bwd_hi_ptrs_.resize(dims);
-  bwd_clo_ptrs_.resize(dims);
-  bwd_chi_ptrs_.resize(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
-    wave_lo_ptrs_[d] = wave_lo_.data() + d * width;
-    wave_hi_ptrs_[d] = wave_hi_.data() + d * width;
-    bwd_clo_ptrs_[d] = bwd_lo_ptrs_[d] = bwd_lo_.data() + d * width;
-    bwd_chi_ptrs_[d] = bwd_hi_ptrs_[d] = bwd_hi_.data() + d * width;
-  }
-
-  tmp_box_.assign(domain.dims().begin(), domain.dims().end());
-  stack_.push_back(NewNodeFromTmp());
-
-  std::vector<Tri> atom_status(atoms, Tri::kUnknown);
+  const bool can_contract = CanContract();
   int invalid_candidates = 0;
-  std::vector<double> last_invalid_model;
-  Box last_invalid_box;
 
-  while (!stack_.empty()) {
+  while (!ws.stack.empty()) {
     if (result.stats.nodes >= options_.max_nodes ||
         (result.stats.nodes % 128 == 0 && deadline.Expired())) {
       // Budget exhausted. A set-aside invalid candidate is still an
@@ -674,8 +779,8 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
       const bool by_nodes = result.stats.nodes >= options_.max_nodes;
       if (invalid_candidates > 0) {
         result.kind = SatKind::kDeltaSat;
-        result.model = std::move(last_invalid_model);
-        result.model_box = std::move(last_invalid_box);
+        result.model = ws.invalid_model;
+        result.model_box = Box(std::span<const Interval>(ws.invalid_box));
       } else {
         result.kind = SatKind::kTimeout;
       }
@@ -685,38 +790,29 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
       result.stats.seconds = watch.ElapsedSeconds();
       return result;
     }
-    const BoxStore::Ref ref = stack_.back();
-    stack_.pop_back();
+    const BoxStore::Ref ref = ws.stack.back();
+    ws.stack.pop_back();
     ++result.stats.nodes;
+    const auto r = static_cast<std::size_t>(ref);
 
     // 1) Classify every atom over the box; prune / accept by certainty.
     // Unclassified pops trigger a batched wave (which also covers upcoming
     // pops); otherwise the statuses were computed by an earlier wave on
     // these exact bounds — bit-identical either way, and identical to the
-    // scalar per-box classification this loop used to run.
-    if (!classified_[static_cast<std::size_t>(ref)]) ClassifyWave(ref);
-    const char* statuses =
-        status_arena_.data() + static_cast<std::size_t>(ref) * atoms;
-    for (std::size_t i = 0; i < atoms; ++i) {
-      switch (static_cast<AtomContractor::Status>(statuses[i])) {
-        case AtomContractor::Status::kCertainlyTrue:
-          atom_status[i] = Tri::kTrue;
-          break;
-        case AtomContractor::Status::kCertainlyFalse:
-          atom_status[i] = Tri::kFalse;
-          break;
-        case AtomContractor::Status::kUnknown:
-          atom_status[i] = Tri::kUnknown;
-          break;
-      }
+    // scalar per-box classification.
+    if (!ws.classified[r]) {
+      run.ClassifyWave(ref, ramp,
+                       options_.max_nodes - result.stats.nodes + 1);
+      ramp = std::min(2 * ramp, cap);
     }
-    const Tri truth = EvaluateSkeleton(skeleton_, atom_status);
+    const Tri truth =
+        EvaluateStatuses(ws.status_arena.data() + r * atoms, ws.atom_status);
     if (truth == Tri::kFalse) {
       ++result.stats.prunes;
-      store_.Release(ref);
+      ws.store.Release(ref);
       continue;
     }
-    const std::span<Interval> box = store_.View(ref);
+    const std::span<Interval> box = ws.store.View(ref);
     if (truth == Tri::kTrue) {
       // Certainly satisfiable: the midpoint is a genuine model.
       result.kind = SatKind::kDeltaSat;
@@ -727,51 +823,31 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
       return result;
     }
 
-    // 2) Contract with necessary atoms (HC4 fixpoint rounds). Wave boxes
-    // replay the precomputed fixpoint: final box, emptiness, and
-    // contraction-call count are exactly what the scalar loop below
-    // produces for these bounds (the loop is kept as the fallback for
-    // boxes no wave covered).
-    const bool measure = options_.measure_phases;
-    Stopwatch contract_watch;
+    // 2) Contract with necessary atoms (HC4 fixpoint rounds): replay the
+    // fixpoint the box's wave precomputed — final box, emptiness, and
+    // contraction-call count. Every undecided pop was a lane of some wave,
+    // so the arena is always filled when contraction can run at all; when
+    // it cannot (no required atoms, or zero rounds) HC4 would do nothing.
     bool empty = false;
-    if (bwd_valid_[static_cast<std::size_t>(ref)] != 0) {
-      result.stats.contractions +=
-          bwd_count_arena_[static_cast<std::size_t>(ref)];
-      if (bwd_empty_arena_[static_cast<std::size_t>(ref)] != 0) {
+    if (can_contract) {
+      const bool measure = options_.measure_phases;
+      Stopwatch contract_watch;
+      XCV_CHECK_MSG(ws.bwd_valid[r] != 0,
+                    "undecided box popped without a precomputed fixpoint");
+      result.stats.contractions += ws.bwd_count_arena[r];
+      if (ws.bwd_empty_arena[r] != 0) {
         empty = true;
       } else {
-        const double* src =
-            bwd_box_arena_.data() + static_cast<std::size_t>(ref) * dims * 2;
+        const double* src = ws.bwd_box_arena.data() + r * dims * 2;
         for (std::size_t d = 0; d < dims; ++d)
           box[d] = Interval(src[2 * d], src[2 * d + 1]);
       }
-    } else {
-      for (int round = 0; round < options_.contraction_rounds && !empty;
-           ++round) {
-        bool any = false;
-        for (int atom : required_atoms_) {
-          ++result.stats.contractions;
-          const auto a = static_cast<std::size_t>(atom);
-          switch (contractors_[a].Contract(box, scratch_)) {
-            case ContractOutcome::kEmpty:
-              empty = true;
-              break;
-            case ContractOutcome::kContracted:
-              any = true;
-              break;
-            case ContractOutcome::kNoChange:
-              break;
-          }
-          if (empty) break;
-        }
-        if (!any) break;
-      }
+      if (measure)
+        result.stats.contract_seconds += contract_watch.ElapsedSeconds();
     }
-    if (measure) result.stats.contract_seconds += contract_watch.ElapsedSeconds();
     if (empty) {
       ++result.stats.prunes;
-      store_.Release(ref);
+      ws.store.Release(ref);
       continue;
     }
 
@@ -782,48 +858,49 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
     // rejection budget is exhausted, the invalid model is reported, which
     // is the paper's "inconclusive" path.
     if (solver::MaxWidth(box) <= options_.delta) {
-      std::vector<double> model = solver::Midpoint(box);
-      if (expr::EvalBool(formula_, model) ||
+      ws.point.resize(dims);
+      for (std::size_t d = 0; d < dims; ++d) ws.point[d] = box[d].Midpoint();
+      if (expr::EvalBool(formula_, ws.point) ||
           invalid_candidates >= options_.max_invalid_models) {
         result.kind = SatKind::kDeltaSat;
-        result.model = std::move(model);
+        result.model = ws.point;
         result.model_box = Box(std::span<const Interval>(box));
         MaybeRecord(domain, result, /*deadline_stopped=*/false);
         result.stats.seconds = watch.ElapsedSeconds();
         return result;
       }
       ++invalid_candidates;
-      last_invalid_model = std::move(model);
-      last_invalid_box = Box(std::span<const Interval>(box));
-      store_.Release(ref);
+      ws.invalid_model.assign(ws.point.begin(), ws.point.end());
+      ws.invalid_box.assign(box.begin(), box.end());
+      ws.store.Release(ref);
       continue;
     }
 
     // 4) Branch on the widest dimension (LIFO: depth-first). Wave-expanded
     // boxes already carry their two halves — exact bit-copies of the split
     // below, materialized from the precomputed fixpoint box — so push them
-    // directly. The on-the-spot bisect stays as the fallback for boxes no
-    // expansion covered.
-    const auto kids = static_cast<std::size_t>(ref) * 2;
-    if (child_arena_[kids] >= 0) {
-      const BoxStore::Ref left_ref = child_arena_[kids];
-      const BoxStore::Ref right_ref = child_arena_[kids + 1];
-      store_.Release(ref);
-      stack_.push_back(right_ref);
-      stack_.push_back(left_ref);
+    // directly. The on-the-spot bisect covers boxes no expansion reached
+    // (the expansion level outgrew the wave).
+    const std::size_t kids = r * 2;
+    if (ws.child_arena[kids] >= 0) {
+      const BoxStore::Ref left_ref = ws.child_arena[kids];
+      const BoxStore::Ref right_ref = ws.child_arena[kids + 1];
+      ws.store.Release(ref);
+      ws.stack.push_back(right_ref);
+      ws.stack.push_back(left_ref);
       continue;
     }
     const std::size_t widest = solver::WidestDim(box);
-    tmp_box_.assign(box.begin(), box.end());
-    store_.Release(ref);
+    ws.tmp_box.assign(box.begin(), box.end());
+    ws.store.Release(ref);
     Interval left, right;
-    tmp_box_[widest].Bisect(&left, &right);
-    tmp_box_[widest] = right;
-    const BoxStore::Ref right_ref = NewNodeFromTmp();
-    tmp_box_[widest] = left;
-    const BoxStore::Ref left_ref = NewNodeFromTmp();
-    stack_.push_back(right_ref);
-    stack_.push_back(left_ref);
+    ws.tmp_box[widest].Bisect(&left, &right);
+    ws.tmp_box[widest] = right;
+    const BoxStore::Ref right_ref = run.NewNodeFromTmp();
+    ws.tmp_box[widest] = left;
+    const BoxStore::Ref left_ref = run.NewNodeFromTmp();
+    ws.stack.push_back(right_ref);
+    ws.stack.push_back(left_ref);
   }
 
   // Stack exhausted. If invalid delta-sat candidates were set aside, the
@@ -832,8 +909,8 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
   // UNSAT.
   if (invalid_candidates > 0) {
     result.kind = SatKind::kDeltaSat;
-    result.model = std::move(last_invalid_model);
-    result.model_box = std::move(last_invalid_box);
+    result.model = ws.invalid_model;
+    result.model_box = Box(std::span<const Interval>(ws.invalid_box));
   } else {
     result.kind = SatKind::kUnsat;
   }
@@ -843,60 +920,48 @@ CheckResult DeltaSolver::Check(const Box& domain, bool consult_cache) {
 }
 
 void DeltaSolver::ClassifyBoxes(std::span<const Box> boxes,
-                                std::vector<int>& out) {
+                                std::vector<int>& out,
+                                SolverWorkspace& ws) const {
   const std::size_t n = boxes.size();
   out.assign(n, 0);
   if (n == 0) return;
+  Run run(*this, ws, nullptr);
   const std::size_t dims = boxes[0].size();
   const std::size_t atoms = contractors_.size();
 
   // SoA gather into the revalidation lanes (grown monotonically).
-  reval_lo_.resize(dims * n);
-  reval_hi_.resize(dims * n);
-  reval_lo_ptrs_.resize(dims);
-  reval_hi_ptrs_.resize(dims);
+  ws.reval_lo.resize(dims * n);
+  ws.reval_hi.resize(dims * n);
+  ws.reval_lo_ptrs.resize(dims);
+  ws.reval_hi_ptrs.resize(dims);
   for (std::size_t d = 0; d < dims; ++d) {
-    double* lo = reval_lo_.data() + d * n;
-    double* hi = reval_hi_.data() + d * n;
+    double* lo = ws.reval_lo.data() + d * n;
+    double* hi = ws.reval_hi.data() + d * n;
     for (std::size_t k = 0; k < n; ++k) {
       XCV_DCHECK(boxes[k].size() == dims);
       lo[k] = boxes[k][d].lo();
       hi[k] = boxes[k][d].hi();
     }
-    reval_lo_ptrs_[d] = lo;
-    reval_hi_ptrs_[d] = hi;
+    ws.reval_lo_ptrs[d] = lo;
+    ws.reval_hi_ptrs[d] = hi;
   }
 
   // One batched sweep per atom, statuses per (box, atom).
-  std::vector<char>& status = reval_status_;
+  std::vector<char>& status = ws.reval_status;
   status.resize(n * atoms);
   for (std::size_t a = 0; a < atoms; ++a) {
     const expr::Tape& tape = contractors_[a].tape();
-    expr::EvalTapeIntervalBatch(tape, reval_lo_ptrs_, reval_hi_ptrs_, n,
-                                interval_batch_);
+    expr::EvalTapeIntervalBatch(tape, ws.reval_lo_ptrs, ws.reval_hi_ptrs, n,
+                                ws.interval_batch);
     const auto root = static_cast<std::size_t>(tape.root());
     for (std::size_t k = 0; k < n; ++k)
       status[k * atoms + a] = static_cast<char>(
-          contractors_[a].ClassifyRoot(interval_batch_.At(root, k)));
+          contractors_[a].ClassifyRoot(ws.interval_batch.At(root, k)));
   }
 
-  std::vector<Tri>& atom_status = reval_atom_status_;
-  atom_status.resize(atoms);
   for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t a = 0; a < atoms; ++a) {
-      switch (static_cast<AtomContractor::Status>(status[k * atoms + a])) {
-        case AtomContractor::Status::kCertainlyTrue:
-          atom_status[a] = Tri::kTrue;
-          break;
-        case AtomContractor::Status::kCertainlyFalse:
-          atom_status[a] = Tri::kFalse;
-          break;
-        case AtomContractor::Status::kUnknown:
-          atom_status[a] = Tri::kUnknown;
-          break;
-      }
-    }
-    const Tri truth = EvaluateSkeleton(skeleton_, atom_status);
+    const Tri truth = EvaluateStatuses(status.data() + k * atoms,
+                                       ws.atom_status);
     out[k] = truth == Tri::kTrue ? 1 : truth == Tri::kFalse ? -1 : 0;
   }
 }

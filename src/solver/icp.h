@@ -55,15 +55,17 @@ struct SolverOptions {
   /// exact evaluation — and decouples counterexample discovery from the
   /// delta-resolution crawl. 0 disables.
   int presample_points = 225;
-  /// Up to this many open sibling boxes are classified per batched interval
-  /// sweep (the SoA wave): when the solver pops a box whose atoms are not
-  /// yet classified, it speculatively classifies it together with the other
-  /// unclassified boxes nearest the top of the stack, one
-  /// EvalTapeIntervalBatch dispatch per atom. Purely an evaluation-batching
-  /// knob: verdicts, models, and stats are byte-identical at every width
-  /// (the batched kernels are bit-identical to the scalar evaluator and the
-  /// DFS order never changes). 1 degenerates to scalar classification.
-  int wave_width = 8;
+  /// Cap on the open boxes classified per batched interval sweep (the SoA
+  /// wave): when the solver pops a box whose atoms are not yet classified,
+  /// it speculatively classifies it together with the other unclassified
+  /// boxes nearest the top of the stack, one EvalTapeIntervalBatch dispatch
+  /// per atom. Waves ramp up to the cap: each Check starts at 8 lanes and
+  /// doubles per wave, and no wave classifies more boxes than the node
+  /// budget can still pop, so short calls do not pay for wide speculation. Purely an evaluation-batching knob: verdicts,
+  /// models, and stats are byte-identical at every width (the batched
+  /// kernels are bit-identical to the scalar evaluator and the DFS order
+  /// never changes). 1 degenerates to scalar classification.
+  int wave_width = 64;
   /// Optional persistent verdict cache (src/cache/). When set, Check
   /// consults it before any solver work — an exact (formula, options, box)
   /// hit replays the recorded result with from_cache set — and records its
@@ -110,9 +112,90 @@ struct CheckResult {
   bool from_cache = false;
 };
 
+/// Three-valued truth of a formula skeleton (or one atom) over a box.
+enum class Tri : signed char { kTrue, kFalse, kUnknown };
+
+/// Mutable scratch of DeltaSolver::Check and DeltaSolver::ClassifyBoxes:
+/// the branch-and-prune frontier, the wave and backward-contraction SoA
+/// rows, the revalidation and presample buffers. Every buffer grows
+/// monotonically and is re-keyed at the start of each call, so one
+/// workspace serves solvers of any dimension and tape size in turn — a
+/// worker thread keeps one (ForThisThread) and every formula it checks
+/// reuses it, instead of each solver owning its own copy. Not thread-safe:
+/// one call at a time.
+struct SolverWorkspace {
+  /// The calling thread's workspace (created on first use, freed at thread
+  /// exit).
+  static SolverWorkspace& ForThisThread();
+
+  // Pooled branch-and-prune frontier: one BoxStore slot per open box, the
+  // stack holds slot refs, and the per-slot side arrays carry the wave
+  // classifier's results to the (possibly much later) pop.
+  BoxStore store;
+  std::vector<BoxStore::Ref> stack;
+  std::vector<char> classified;   // slot -> atoms classified?
+  std::vector<char> status_arena; // slot * num_atoms + atom -> Status
+  std::vector<Interval> tmp_box;  // bisect staging
+  // Speculatively materialized split: slot*2 -> {left, right} child refs
+  // (-1 = not expanded).
+  std::vector<BoxStore::Ref> child_arena;
+  // Precomputed HC4 fixpoint per slot, replayed at pop.
+  std::vector<char> bwd_valid;                  // slot -> arena filled
+  std::vector<signed char> bwd_empty_arena;     // slot -> went empty
+  std::vector<std::uint32_t> bwd_count_arena;   // slot -> contraction calls
+  std::vector<double> bwd_box_arena;  // slot × dims × {lo, hi} final box
+  std::vector<Tri> atom_status;       // one box's skeleton inputs
+
+  // Wave buffers: dims rows of `wave_stride` lanes each.
+  std::size_t wave_stride = 0;
+  std::vector<BoxStore::Ref> wave_refs;
+  std::vector<BoxStore::Ref> next_refs;  // children feeding the next level
+  std::vector<double> wave_lo, wave_hi;
+  std::vector<const double*> wave_lo_ptrs, wave_hi_ptrs;
+  expr::TapeIntervalBatchScratch interval_batch;
+  // Required atoms get their own forward scratch so their classification
+  // sweeps double as the round-0 forward enclosures of the contraction.
+  std::vector<expr::TapeIntervalBatchScratch> req_batch;
+  expr::TapeBackwardBatchScratch backward;
+  std::vector<double> bwd_lo, bwd_hi;  // working boxes, same layout
+  std::vector<double*> bwd_lo_ptrs, bwd_hi_ptrs;
+  std::vector<const double*> bwd_clo_ptrs, bwd_chi_ptrs;  // same rows
+  std::vector<unsigned char> wave_active;  // lane takes this atom's sweep
+  std::vector<unsigned char> wave_any;     // lane contracted this round
+  std::vector<unsigned char> wave_done;    // lane left the fixpoint loop
+  std::vector<unsigned char> wave_empty;   // lane's box proved infeasible
+  std::vector<unsigned char> wave_unknown; // lane skeleton-undecided
+  std::vector<std::uint32_t> wave_count;   // contraction calls per lane
+  std::vector<signed char> wave_outcome;   // per-lane backward outcome
+
+  // ClassifyBoxes SoA buffers (warm cache replays run one revalidation
+  // sweep per wave, so this is a hot path too).
+  std::vector<double> reval_lo, reval_hi;
+  std::vector<const double*> reval_lo_ptrs, reval_hi_ptrs;
+  std::vector<char> reval_status;  // box * atoms + atom
+
+  // Presample lattice (rebuilt per Check, never reallocated once warm).
+  std::vector<std::vector<double>> coords;  // SoA lattice, one row per dim
+  std::vector<std::vector<double>> values;  // one row per atom
+  std::vector<const double*> inputs;
+  std::vector<char> atom_truth;
+  expr::TapeBatchScratch batch;
+
+  // Candidate models: the point under exact validation (a presample hit
+  // or a delta-floor midpoint) and the last one that failed it.
+  std::vector<double> point;
+  std::vector<double> invalid_model;
+  std::vector<Interval> invalid_box;
+
+  bool busy = false;  // a call is using this workspace
+};
+
 /// Decision engine for one fixed formula, reusable across many boxes (the
-/// verifier calls Check once per subdomain). Not thread-safe; create one
-/// instance per worker thread.
+/// verifier calls Check once per subdomain). The solver itself is the
+/// compiled, immutable part — skeleton, atom contractors and their tapes,
+/// required atoms, cache scope — so Check and ClassifyBoxes are const and
+/// safe to call from many threads at once; all mutable scratch lives in a
+/// SolverWorkspace (by default the calling thread's).
 class DeltaSolver {
  public:
   /// `formula` is an NNF BoolExpr (True/False/atoms/and/or).
@@ -120,12 +203,18 @@ class DeltaSolver {
 
   /// Decides `formula` over `domain`, consulting the verdict cache when one
   /// is configured.
-  CheckResult Check(const Box& domain) { return Check(domain, true); }
+  CheckResult Check(const Box& domain) const { return Check(domain, true); }
 
   /// Check with explicit cache control: consult_cache=false forces a full
   /// solve (used after a cache hit fails revalidation; the fresh result
   /// overwrites the bad entry).
-  CheckResult Check(const Box& domain, bool consult_cache);
+  CheckResult Check(const Box& domain, bool consult_cache) const {
+    return Check(domain, consult_cache, SolverWorkspace::ForThisThread());
+  }
+
+  /// Check on an explicit workspace.
+  CheckResult Check(const Box& domain, bool consult_cache,
+                    SolverWorkspace& ws) const;
 
   const expr::BoolExpr& formula() const { return formula_; }
   const SolverOptions& options() const { return options_; }
@@ -145,7 +234,11 @@ class DeltaSolver {
   /// nowhere in box k, 0 when interval evaluation cannot decide. This is
   /// the engine's cache-hit revalidation primitive — one sweep covers a
   /// whole wave of cached frontier boxes.
-  void ClassifyBoxes(std::span<const Box> boxes, std::vector<int>& out);
+  void ClassifyBoxes(std::span<const Box> boxes, std::vector<int>& out) const {
+    ClassifyBoxes(boxes, out, SolverWorkspace::ForThisThread());
+  }
+  void ClassifyBoxes(std::span<const Box> boxes, std::vector<int>& out,
+                     SolverWorkspace& ws) const;
 
  private:
   // Formula skeleton over atom indices (atoms deduplicated by expression
@@ -155,19 +248,24 @@ class DeltaSolver {
     int atom = -1;
     std::vector<FNode> children;
   };
-  enum class Tri { kTrue, kFalse, kUnknown };
+  class Run;  // one Check's state: solver + workspace + stats
 
   FNode CompileFormula(const expr::BoolExpr& b);
   Tri EvaluateSkeleton(const FNode& node,
                        const std::vector<Tri>& atom_status) const;
+  /// Skeleton truth of one box from its per-atom classification statuses.
+  Tri EvaluateStatuses(const char* statuses,
+                       std::vector<Tri>& atom_status) const;
   /// Exact truth of the skeleton given per-atom IEEE truth values —
   /// equivalent to expr::EvalBool on the original formula.
   bool EvaluateSkeletonExact(const FNode& node,
                              const std::vector<char>& atom_truth) const;
   void CollectRequiredAtoms(const FNode& node, std::vector<int>& out) const;
-  /// Presample lattice probing, batched over the atom tapes. Returns true
-  /// and fills `result` when a genuine model was found.
-  bool PresampleLattice(const Box& domain, CheckResult& result);
+  /// True when HC4 contraction can narrow anything: some atom lies on every
+  /// conjunctive path and at least one round is configured.
+  bool CanContract() const {
+    return !required_atoms_.empty() && options_.contraction_rounds > 0;
+  }
 
   /// Scope half of the cache key (see cache_scope()); computed once in the
   /// constructor from the contractor tapes, skeleton, and options.
@@ -180,38 +278,6 @@ class DeltaSolver {
   void MaybeRecord(const Box& domain, const CheckResult& result,
                    bool deadline_stopped) const;
 
-  /// Allocates a frontier slot holding `tmp_box_` and marks it
-  /// unclassified (sizing the per-slot side arrays as needed).
-  BoxStore::Ref NewNodeFromTmp();
-  /// Classifies `popped` plus up to wave_width-1 other unclassified stack
-  /// boxes, then speculatively expands the subtree below them breadth-first
-  /// — DFS alone only ever exposes a couple of unclassified siblings, which
-  /// would starve the wide lanes. Each level runs ClassifyContractWave
-  /// (batched classify + full HC4 fixpoint precompute); because the
-  /// fixpoint yields every surviving lane's final contracted box, the split
-  /// the pop will perform is known now, so ExpandWaveChildren materializes
-  /// the two halves and they become the next level's wave, doubling until
-  /// the level outgrows wave_width (total work per call is capped at
-  /// ~2×wave_width lanes). Pops later walk this prebuilt subtree in the
-  /// exact scalar order; verdicts, boxes, and stats are bit-identical to
-  /// the scalar path at every wave width and ISA tier — speculation past an
-  /// early return only costs wall time.
-  void ClassifyWave(BoxStore::Ref popped);
-  /// One batched pass over wave_refs_ (≤ wave_width lanes): forward
-  /// classification sweeps per atom into status_arena_, then the complete
-  /// rounds × required-atoms HC4 fixpoint loop over every skeleton-undecided
-  /// lane — batched forward + backward sweeps with per-lane masks
-  /// replicating the scalar loop's empty/fixpoint early exits — scattering
-  /// each lane's final box, emptiness, and contraction-call count into the
-  /// ref-indexed bwd_* arenas replayed at pop.
-  void ClassifyContractWave();
-  /// Pre-splits the surviving lanes of the wave just contracted (skeleton
-  /// undecided, not proved empty, wider than delta): bisects each lane's
-  /// final box on its widest dimension exactly as pop step 4 will, allocates
-  /// the two child slots, records them in child_arena_, and collects them
-  /// into next_refs_ as the next expansion level.
-  void ExpandWaveChildren();
-
   expr::BoolExpr formula_;
   SolverOptions options_;
   std::uint64_t cache_scope_ = 0;
@@ -219,69 +285,7 @@ class DeltaSolver {
   std::vector<AtomContractor> contractors_;  // one per distinct atom
   std::vector<int> required_atoms_;  // atoms on every conjunctive path
   std::vector<char> is_required_;    // atom index -> on a conjunctive path
-  expr::TapeScratch scratch_;
-
-  // Pooled branch-and-prune frontier: one BoxStore slot per open box, the
-  // stack holds slot refs, and the per-slot side arrays carry the wave
-  // classifier's results to the (possibly much later) pop.
-  BoxStore store_;
-  std::vector<BoxStore::Ref> stack_;
-  std::vector<char> classified_;   // slot -> atoms classified?
-  std::vector<char> status_arena_; // slot * num_atoms + atom -> Status
-  std::vector<Interval> tmp_box_;  // bisect staging
-  // Speculatively materialized split: slot*2 -> {left, right} child refs
-  // (-1 = not expanded; pop step 4 then bisects on the spot).
-  std::vector<BoxStore::Ref> child_arena_;
-
-  // Wave classification buffers (sized once per Check).
-  std::vector<BoxStore::Ref> wave_refs_;
-  std::vector<BoxStore::Ref> next_refs_;  // children feeding the next level
-  std::vector<double> wave_lo_, wave_hi_;          // dims × wave_width SoA
-  std::vector<const double*> wave_lo_ptrs_, wave_hi_ptrs_;
-  expr::TapeIntervalBatchScratch interval_batch_;
-
-  // ClassifyBoxes SoA buffers (grown monotonically; warm cache replays run
-  // one revalidation sweep per wave, so this is a hot path too).
-  std::vector<double> reval_lo_, reval_hi_;
-  std::vector<const double*> reval_lo_ptrs_, reval_hi_ptrs_;
-  std::vector<char> reval_status_;       // box * atoms + atom
-  std::vector<Tri> reval_atom_status_;   // per-box skeleton inputs
-
-  // Batched backward contraction over the wave: ClassifyWave runs the whole
-  // HC4 fixpoint loop (rounds × required atoms, forward + backward sweeps)
-  // over every undecided lane at once, with per-lane empty/fixpoint masks
-  // replicating the scalar loop's control flow exactly. Required atoms get
-  // their own forward scratch so their classification sweeps double as the
-  // round-0 forward enclosures; the final per-lane box, emptiness, and
-  // contraction-call count land in ref-indexed arenas and are replayed when
-  // the box is popped.
-  std::vector<expr::TapeIntervalBatchScratch> req_batch_;  // per required atom
-  expr::TapeBackwardBatchScratch backward_;
-  std::vector<double> bwd_lo_, bwd_hi_;  // dims × wave_width working boxes
-  std::vector<double*> bwd_lo_ptrs_, bwd_hi_ptrs_;
-  std::vector<const double*> bwd_clo_ptrs_, bwd_chi_ptrs_;  // same rows
-  std::vector<unsigned char> wave_active_;  // lane takes this atom's sweep
-  std::vector<unsigned char> wave_any_;     // lane contracted this round
-  std::vector<unsigned char> wave_done_;    // lane left the fixpoint loop
-  std::vector<unsigned char> wave_empty_;   // lane's box proved infeasible
-  std::vector<unsigned char> wave_unknown_; // lane skeleton-undecided
-  std::vector<std::uint32_t> wave_count_;   // contraction calls per lane
-  std::vector<signed char> wave_outcome_;   // per-lane backward outcome
-  std::vector<Tri> wave_atom_status_;       // per-lane skeleton inputs
-  std::vector<char> bwd_valid_;             // slot -> arena replay available
-  std::vector<signed char> bwd_empty_arena_;     // slot -> went empty
-  std::vector<std::uint32_t> bwd_count_arena_;   // slot -> contraction calls
-  std::vector<double> bwd_box_arena_;  // slot × dims × {lo, hi} final box
-  SolverStats* phase_stats_ = nullptr;  // Check's stats, for measure_phases
-
-  // Reusable presample buffers (Check runs once per verifier subdomain; the
-  // lattice is rebuilt but never reallocated).
-  struct PresampleBuffers {
-    std::vector<std::vector<double>> coords;  // SoA lattice, one row per dim
-    std::vector<std::vector<double>> values;  // one row per atom
-    expr::TapeBatchScratch batch;
-  };
-  PresampleBuffers presample_;
+  std::size_t max_slots_ = 0;        // longest atom tape
 };
 
 }  // namespace xcv::solver

@@ -356,21 +356,11 @@ void PairEngine::Restore(VerificationReport partial, std::vector<Box> open) {
   if (sink) for (double p : tickets) sink(p);
 }
 
-std::unique_ptr<DeltaSolver> PairEngine::AcquireSolver() {
-  {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    if (!free_solvers_.empty()) {
-      auto s = std::move(free_solvers_.back());
-      free_solvers_.pop_back();
-      return s;
-    }
-  }
-  return std::make_unique<DeltaSolver>(not_psi_, options_.solver);
-}
-
-void PairEngine::ReleaseSolver(std::unique_ptr<DeltaSolver> s) {
-  std::lock_guard<std::mutex> lock(solver_mu_);
-  free_solvers_.push_back(std::move(s));
+const DeltaSolver& PairEngine::Solver() {
+  std::call_once(solver_once_, [this] {
+    solver_ = std::make_unique<const DeltaSolver>(not_psi_, options_.solver);
+  });
+  return *solver_;
 }
 
 bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
@@ -410,20 +400,20 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
     // Overall budget exhausted: classify the remaining area as timeout
     // without spending solver time (keeps the partition total).
   } else {
-    auto solver = AcquireSolver();
+    const DeltaSolver& solver = Solver();
     CheckResult result;
     {
       obs::Span solve_span("solve");
-      result = solver->Check(box);
+      result = solver.Check(box);
       if (result.from_cache &&
-          !RevalidateCachedResult(*solver, item.seq, box, result)) {
+          !RevalidateCachedResult(solver, item.seq, box, result)) {
         // The cached entry contradicts a fresh interval sweep (scope-hash
         // collision or a tampered file): distrust it and solve for real.
         // The fresh result overwrites the bad entry.
         hit_rejected = true;
         cache_rejected_.fetch_add(1, std::memory_order_relaxed);
         CacheLookupCounter("rejected").Inc();
-        result = solver->Check(box, /*consult_cache=*/false);
+        result = solver.Check(box, /*consult_cache=*/false);
       }
       if (solve_span.armed()) {
         // Deterministic args only (no wall seconds): replays of the same
@@ -434,7 +424,6 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
                        static_cast<std::uint64_t>(result.from_cache ? 1 : 0));
       }
     }
-    ReleaseSolver(std::move(solver));
     if (result.from_cache) {
       // No solver ran; the replayed result is byte-equivalent to the cold
       // run's, so everything below (status, witness, split) replays too.
@@ -510,7 +499,7 @@ bool PairEngine::ProcessNext(const std::atomic<bool>* cancel) {
   return true;
 }
 
-bool PairEngine::RevalidateCachedResult(DeltaSolver& solver,
+bool PairEngine::RevalidateCachedResult(const DeltaSolver& solver,
                                         std::uint64_t seq, const Box& box,
                                         const CheckResult& result) {
   int tri = 0;

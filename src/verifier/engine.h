@@ -13,6 +13,9 @@
 // (frontier, in-flight set, report) lives behind one mutex taken exactly
 // twice per processed box — once to pop, once to record the outcome — while
 // the solver call itself runs unlocked; solver-call counters are atomics.
+// The engine compiles one DeltaSolver, which is immutable and shared by
+// every worker: each call runs on the calling thread's SolverWorkspace, so
+// solver scratch memory grows with workers, not with pairs × workers.
 // Because in-flight boxes are tracked, Snapshot() can produce a consistent
 // (report, open frontier) pair at any moment, which is what campaign
 // checkpoints serialize.
@@ -123,8 +126,9 @@ class PairEngine {
 
   void PushLocked(std::span<const Interval> box, bool suspect,
                   std::vector<double>* ticket_priorities);
-  std::unique_ptr<solver::DeltaSolver> AcquireSolver();
-  void ReleaseSolver(std::unique_ptr<solver::DeltaSolver> s);
+  /// The engine's solver for ¬ψ, compiled on first use (a pair restored as
+  /// finished never pays for tape compilation).
+  const solver::DeltaSolver& Solver();
 
   /// Decides whether a cache-replayed CheckResult for `box` may be trusted.
   /// The box's interval classification comes from the revalidation map if an
@@ -133,7 +137,8 @@ class PairEngine {
   /// pays one EvalTapeIntervalBatch dispatch per wave, not per box). Returns
   /// false when the classification or the cached model contradicts the
   /// cached verdict — the caller then re-solves with the cache bypassed.
-  bool RevalidateCachedResult(solver::DeltaSolver& solver, std::uint64_t seq,
+  bool RevalidateCachedResult(const solver::DeltaSolver& solver,
+                              std::uint64_t seq,
                               const solver::Box& box,
                               const solver::CheckResult& result);
 
@@ -163,10 +168,10 @@ class PairEngine {
   std::atomic<std::uint64_t> cache_rejected_{0};
   std::unordered_map<std::uint64_t, int> reval_tri_;  // guarded by mu_
 
-  // Free-list of solver instances (tape compilation is expensive for big
-  // functionals; one solver is in use per concurrent box at a time).
-  std::mutex solver_mu_;
-  std::vector<std::unique_ptr<solver::DeltaSolver>> free_solvers_;
+  // Compiled lazily by Solver(); immutable afterwards, so concurrent
+  // ProcessNext calls share it without locking.
+  std::once_flag solver_once_;
+  std::unique_ptr<const solver::DeltaSolver> solver_;
 };
 
 /// Sorts leaves by box bounds and witnesses lexicographically, so the same

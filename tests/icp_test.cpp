@@ -1,10 +1,17 @@
 #include <cmath>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "conditions/conditions.h"
 #include "expr/eval.h"
+#include "functionals/functional.h"
 #include "solver/icp.h"
 #include "support/check.h"
+#include "support/simd.h"
 #include "test_util.h"
 
 namespace xcv::solver {
@@ -211,6 +218,170 @@ TEST(DeltaSolverProperty, UnsatAnswersAreSound) {
           << "UNSAT contradicted by point for " << e.ToString();
     }
   }
+}
+
+
+// ---- Solver workspaces ------------------------------------------------------
+
+void ExpectSameResult(const CheckResult& got, const CheckResult& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.kind, want.kind) << what;
+  ASSERT_EQ(got.model.size(), want.model.size()) << what;
+  for (std::size_t i = 0; i < got.model.size(); ++i)
+    EXPECT_TRUE(SameDoubleBits(got.model[i], want.model[i]))
+        << what << " model[" << i << "]";
+  EXPECT_TRUE(SameBoxBits(got.model_box.dims(), want.model_box.dims()))
+      << what << " model_box";
+  EXPECT_EQ(got.stats.nodes, want.stats.nodes) << what;
+  EXPECT_EQ(got.stats.contractions, want.stats.contractions) << what;
+  EXPECT_EQ(got.stats.prunes, want.stats.prunes) << what;
+}
+
+/// ¬ψ for a paper (functional, condition) pair over its paper domain.
+struct PaperCase {
+  std::string name;
+  BoolExpr formula;
+  Box domain;
+  SolverOptions options;
+};
+
+PaperCase MakePaperCase(const char* functional, const char* condition,
+                        std::uint64_t max_nodes, int presample_points) {
+  const auto& f = *functionals::FindFunctional(functional);
+  const auto psi =
+      conditions::BuildCondition(*conditions::FindCondition(condition), f);
+  XCV_CHECK(psi.has_value());
+  SolverOptions o;
+  o.max_nodes = max_nodes;
+  o.presample_points = presample_points;
+  return {std::string(functional) + "/" + condition, BoolExpr::Not(*psi),
+          conditions::PaperDomain(f), o};
+}
+
+/// Formulas of different dimension and tape size, including ones where
+/// contraction cannot run (no required atom; zero rounds) and a budget
+/// smaller than the first wave.
+std::vector<PaperCase> WorkspaceCases() {
+  std::vector<PaperCase> cases;
+  cases.push_back(MakePaperCase("PBE", "EC1", 400, 0));
+  cases.push_back(MakePaperCase("SCAN", "EC1", 150, 225));
+  cases.push_back(MakePaperCase("LYP", "EC2", 5, 0));
+  cases.push_back(MakePaperCase("AM05", "EC3", 300, 225));
+  SolverOptions tiny = Fast();
+  tiny.max_nodes = 3000;
+  cases.push_back({"1d-unsat", BoolExpr::Lt(X() * X() + C(1), C(0)),
+                   Box({Interval(-2.0, 2.0)}), tiny});
+  SolverOptions no_presample = tiny;
+  no_presample.presample_points = 0;
+  cases.push_back({"2d-or-no-required-atom",
+                   BoolExpr::Or({BoolExpr::Lt(X() * X() + C(1), C(0)),
+                                 BoolExpr::Lt(Y() * Y() + C(2), C(0))}),
+                   Box({Interval(-2.0, 2.0), Interval(-1.0, 3.0)}),
+                   no_presample});
+  SolverOptions no_rounds = no_presample;
+  no_rounds.contraction_rounds = 0;
+  no_rounds.max_nodes = 700;
+  cases.push_back({"2d-no-rounds",
+                   BoolExpr::And({BoolExpr::Le(X() * Y() - C(0.3), C(0)),
+                                  BoolExpr::Ge(X() + Y(), C(3.5))}),
+                   Box({Interval(0.0, 2.0), Interval(0.0, 2.0)}), no_rounds});
+  return cases;
+}
+
+TEST(SolverWorkspace, OneThreadAlternatingSolversMatchesFreshSolvers) {
+  const std::vector<PaperCase> cases = WorkspaceCases();
+  // Reference: width 1 (scalar classification), fresh solver, fresh
+  // workspace, the dispatch's own tier.
+  std::vector<CheckResult> ref;
+  for (const PaperCase& c : cases) {
+    SolverOptions o = c.options;
+    o.wave_width = 1;
+    SolverWorkspace fresh;
+    ref.push_back(DeltaSolver(c.formula, o).Check(c.domain, true, fresh));
+  }
+
+  const simd::Tier original = simd::ActiveTier();
+  for (int width : {1, 8, 64, 256}) {
+    std::vector<std::unique_ptr<DeltaSolver>> solvers;
+    for (const PaperCase& c : cases) {
+      SolverOptions o = c.options;
+      o.wave_width = width;
+      solvers.push_back(std::make_unique<DeltaSolver>(c.formula, o));
+    }
+    for (int t = 0; t < simd::kNumTiers; ++t) {
+      const auto tier = static_cast<simd::Tier>(t);
+      if (!simd::ForceTierForTesting(tier)) continue;  // not runnable here
+      const std::string at = std::string(" width ") + std::to_string(width) +
+                             " tier " + simd::TierName(tier);
+      SolverWorkspace shared;
+      // Forward then backward, so every solver runs on a workspace last
+      // sized by a solver of another dimension and tape size.
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t k = 0; k < cases.size(); ++k) {
+          const std::size_t i = pass == 0 ? k : cases.size() - 1 - k;
+          ExpectSameResult(solvers[i]->Check(cases[i].domain, true, shared),
+                           ref[i], cases[i].name + at);
+        }
+      }
+      // The calling thread's own workspace serves the same way.
+      for (std::size_t i = 0; i < cases.size(); ++i)
+        ExpectSameResult(solvers[i]->Check(cases[i].domain), ref[i],
+                         cases[i].name + at + " (thread workspace)");
+    }
+  }
+  ASSERT_TRUE(simd::ForceTierForTesting(original));
+}
+
+TEST(SolverWorkspace, SharedSolverCheckedFromFourThreadsMatchesSequential) {
+  PaperCase c = MakePaperCase("PBE", "EC1", 300, 225);
+  const DeltaSolver solver(c.formula, c.options);
+  // Sixteen sub-boxes of the paper domain, each decided independently.
+  std::vector<Box> boxes{c.domain};
+  while (boxes.size() < 16) {
+    std::vector<Box> next;
+    for (const Box& b : boxes) {
+      auto [left, right] = b.Bisect(b.WidestDim());
+      next.push_back(std::move(left));
+      next.push_back(std::move(right));
+    }
+    boxes = std::move(next);
+  }
+  std::vector<CheckResult> sequential;
+  for (const Box& b : boxes) sequential.push_back(solver.Check(b));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<CheckResult>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      got[t].resize(boxes.size());
+      for (int round = 0; round < 2; ++round)
+        for (std::size_t k = 0; k < boxes.size(); ++k) {
+          const std::size_t i = (k + 4 * static_cast<std::size_t>(t)) %
+                                boxes.size();
+          got[t][i] = solver.Check(boxes[i]);
+        }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < boxes.size(); ++i)
+      ExpectSameResult(got[t][i], sequential[i],
+                       "thread " + std::to_string(t) + " box " +
+                           std::to_string(i));
+}
+
+TEST(SolverWorkspace, RejectsASecondConcurrentCall) {
+  SolverOptions o = Fast();
+  o.presample_points = 0;
+  const DeltaSolver solver(BoolExpr::Lt(X() * X() + C(1), C(0)), o);
+  SolverWorkspace ws;
+  ws.busy = true;  // as if another call were running on it
+  EXPECT_THROW(solver.Check(Box({Interval(-2.0, 2.0)}), true, ws),
+               xcv::InternalError);
+  ws.busy = false;
+  EXPECT_EQ(solver.Check(Box({Interval(-2.0, 2.0)}), true, ws).kind,
+            SatKind::kUnsat);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include "api/job_spec.h"
 #include "api/render.h"
+#include "cache/verdict_cache.h"
 #include "campaign/campaign.h"
 #include "campaign/serialize.h"
 #include "service/daemon.h"
@@ -681,6 +682,43 @@ TEST(DaemonHttpTest, PauseSurvivesDaemonRestartAndResumesToSameReport) {
   ASSERT_EQ(report.status, 200);
   EXPECT_EQ(CutColumns(report.body, 11), CutColumns(reference, 11));
   daemon.Stop();
+}
+
+TEST(DaemonHttpTest, JobsFinishingTogetherSaveTheSharedCacheSafely) {
+  // Every runner persists the shared cache when its job ends, staging
+  // through one `cache.json.tmp`. Two jobs admitted side by side finish
+  // within microseconds of each other once the cache is warm; unless the
+  // saves are serialized, the loser's rename fails inside the runner
+  // thread and the process aborts.
+  DaemonOptions options;
+  options.state_dir = FreshStateDir("cache-save-race");
+  options.port = 0;
+  options.max_concurrent_jobs = 2;
+  Daemon daemon(options);
+  daemon.Start();
+  const int port = daemon.port();
+  for (int round = 0; round < 60; ++round) {
+    std::string ids[2];
+    for (std::string& id : ids) {
+      const HttpResponse resp =
+          HttpFetch(port, "POST", "/v1/campaigns", kInstantSpec);
+      ASSERT_EQ(resp.status, 201) << resp.body;
+      id = json::ParseJson(resp.body).At("id").AsString();
+    }
+    for (const std::string& id : ids)
+      ASSERT_EQ(WaitForStatus(port, id, {"done", "failed"}), "done")
+          << "round " << round;
+  }
+  daemon.Stop();
+
+  cache::VerdictCache loaded;
+  cache::CacheLoadStats stats;
+  EXPECT_TRUE(loaded.Load(options.state_dir + "/cache.json", &stats))
+      << stats.detail;
+  EXPECT_TRUE(stats.clean) << stats.detail;
+  EXPECT_GT(loaded.size(), 0u);
+  EXPECT_FALSE(
+      std::filesystem::exists(options.state_dir + "/cache.json.tmp"));
 }
 
 // ---- Queue-journal durability -----------------------------------------------
