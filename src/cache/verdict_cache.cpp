@@ -226,37 +226,32 @@ std::string VerdictCache::ToJson() const {
   return out;
 }
 
-bool VerdictCache::FromJson(const std::string& json_text) {
-  // Parse into a staging map first so malformed input cannot leave the
-  // cache half-loaded.
-  std::unordered_map<std::uint64_t, std::vector<Entry>> staged;
-  std::size_t count = 0;
-  try {
-    const JsonValue root = json::ParseJson(json_text);
-    XCV_CHECK_MSG(root.At("format").AsString() == "xcv-verdict-cache",
-                  "not an xcv verdict cache");
-    json::RequireSupportedSchema(root, "xcv-verdict-cache", 1);
-    for (const JsonValue& ev : root.At("entries").array) {
-      Entry e = EntryFromJson(ev);
-      staged[MapKey(e.scope, e.box)].push_back(std::move(e));
-      ++count;
-    }
-  } catch (const InternalError&) {
-    std::lock_guard<std::mutex> lock(mu_);
-    CacheEntriesGauge().Add(-static_cast<double>(count_));
-    entries_.clear();
-    count_ = 0;
-    return false;
-  }
+namespace {
+
+constexpr support::DocumentKind kCacheDocument = {"xcv-verdict-cache", 1,
+                                                  "entries", "cache.load"};
+
+}  // namespace
+
+void VerdictCache::Adopt(Buckets staged, std::size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   CacheEntriesGauge().Add(static_cast<double>(count) -
                           static_cast<double>(count_));
   entries_ = std::move(staged);
   count_ = count;
-  return true;
 }
 
-VerdictCache::Entry VerdictCache::EntryFromJson(const JsonValue& ev) {
+bool VerdictCache::FromJson(const std::string& json_text) {
+  Buckets staged;
+  const support::LoadOutcome outcome = support::ParseDocument(
+      json_text, kCacheDocument, nullptr,
+      [&](const JsonValue& ev) { StageEntry(ev, staged); });
+  if (!outcome.clean) staged.clear();
+  Adopt(std::move(staged), outcome.clean ? outcome.items_recovered : 0);
+  return outcome.clean;
+}
+
+void VerdictCache::StageEntry(const JsonValue& ev, Buckets& staged) {
   Entry e;
   const std::string& scope_hex = ev.At("scope").AsString();
   char* end = nullptr;
@@ -270,97 +265,18 @@ VerdictCache::Entry VerdictCache::EntryFromJson(const JsonValue& ev) {
     for (const JsonValue& c : m->array) e.verdict.model.push_back(c.AsDouble());
   if (const JsonValue* mb = ev.Find("model_box"))
     e.verdict.model_box = IntervalsFromJson(*mb);
-  return e;
+  staged[MapKey(e.scope, e.box)].push_back(std::move(e));
 }
 
 bool VerdictCache::Load(const std::string& path, CacheLoadStats* stats) {
-  CacheLoadStats local;
-  CacheLoadStats& s = stats != nullptr ? *stats : local;
-  s = CacheLoadStats{};
-
-  std::string text;
-  if (!support::ReadFileToString(path, &text, "cache.load")) {
-    s.cold = true;
-    s.detail = "cannot read '" + path + "'";
-    return false;  // absent/unreadable file: cold start
-  }
-  const support::ChecksumStatus checksum =
-      support::VerifyDocumentChecksum(text);
-
-  if (checksum != support::ChecksumStatus::kMismatch && FromJson(text)) {
-    s.clean = true;
-    s.entries_recovered = size();
-    return true;
-  }
-
-  if (checksum == support::ChecksumStatus::kMismatch) {
-    // If the document also fails to parse it is torn and salvage below
-    // applies; a document that parses whole but hashes wrong changed in
-    // place, and then no entry can be trusted — cold start.
-    bool parses = true;
-    try {
-      json::ParseJson(text);
-    } catch (const InternalError&) {
-      parses = false;
-    }
-    if (parses) {
-      s.cold = true;
-      s.quarantine_path = support::QuarantineFile(path, text);
-      s.detail = "checksum mismatch in '" + path +
-                 "' (content corruption); starting cold";
-      return false;
-    }
-  }
-
-  // Torn file: recover the longest prefix of complete entry objects. Each
-  // is carved out with the balanced-bracket scanner and must parse on its
-  // own to count.
-  constexpr const char kEntriesMarker[] = "\"entries\": [";
-  const std::size_t marker = text.find(kEntriesMarker);
-  const std::size_t format = text.find("\"xcv-verdict-cache\"");
-  if (marker == std::string::npos || format == std::string::npos) {
-    s.cold = true;
-    s.quarantine_path = support::QuarantineFile(path, text);
-    s.detail = "cache '" + path +
-               "' is damaged before its entries array; starting cold";
-    return false;
-  }
-
-  std::unordered_map<std::uint64_t, std::vector<Entry>> staged;
-  std::size_t count = 0;
-  std::size_t pos = marker + sizeof(kEntriesMarker) - 1;
-  for (;;) {
-    while (pos < text.size() &&
-           (text[pos] == ',' || text[pos] == '\n' || text[pos] == ' ' ||
-            text[pos] == '\t' || text[pos] == '\r'))
-      ++pos;
-    if (pos >= text.size() || text[pos] != '{') break;
-    const std::size_t end = json::SkipBalanced(text, pos);
-    if (end == std::string::npos) break;  // the torn tail
-    try {
-      const JsonValue ev = json::ParseJson(text.substr(pos, end - pos));
-      Entry e = EntryFromJson(ev);
-      staged[MapKey(e.scope, e.box)].push_back(std::move(e));
-      ++count;
-    } catch (const InternalError&) {
-      break;  // complete braces but damaged content: stop at the prefix
-    }
-    pos = end;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CacheEntriesGauge().Add(static_cast<double>(count) -
-                            static_cast<double>(count_));
-    entries_ = std::move(staged);
-    count_ = count;
-  }
-  s.salvaged = true;
-  s.entries_recovered = count;
-  s.quarantine_path = support::QuarantineFile(path, text);
-  s.detail = "salvaged " + std::to_string(count) +
-             " intact entr" + (count == 1 ? "y" : "ies") +
-             " from torn cache '" + path + "'";
-  return count > 0;
+  Buckets staged;
+  CacheLoadStats outcome = support::LoadDocument(
+      path, kCacheDocument, nullptr,
+      [&](const JsonValue& ev) { StageEntry(ev, staged); });
+  Adopt(std::move(staged), outcome.items_recovered);
+  const bool warm = outcome.clean || outcome.items_recovered > 0;
+  if (stats != nullptr) *stats = std::move(outcome);
+  return warm;
 }
 
 void VerdictCache::Save(const std::string& path) const {

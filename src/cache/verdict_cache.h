@@ -24,8 +24,8 @@
 //
 // Thread-safe: one mutex around the map; counters are atomics. On-disk
 // format is the repo's %.17g JSON (support/json.h), written atomically
-// (temp file + rename). A corrupt, truncated or missing file degrades to an
-// empty (cold) cache — it never throws out of Load.
+// (temp file + rename) and loaded through support::LoadDocument, which
+// owns the damaged-file policy — Load never throws.
 #pragma once
 
 #include <atomic>
@@ -39,10 +39,7 @@
 #include <mutex>
 
 #include "interval/interval.h"
-
-namespace xcv::json {
-struct JsonValue;
-}
+#include "support/io.h"
 
 namespace xcv::cache {
 
@@ -69,23 +66,9 @@ struct CacheCounters {
   std::uint64_t stores = 0;
 };
 
-/// Outcome of a cache load (the optional out-param of Load). Exactly one
-/// of `clean`, `salvaged`, `cold` is true — same taxonomy as the
-/// checkpoint loader (campaign/serialize.h):
-///   * clean:    full parse + checksum ok (or legacy, no checksum field);
-///   * salvaged: torn file — the longest intact prefix of complete entries
-///     was recovered and the damaged original quarantined;
-///   * cold:     absent file, unreadable file, damaged header, or a
-///     document that parses but fails its checksum (content corruption —
-///     no entry can be trusted).
-struct CacheLoadStats {
-  bool clean = false;
-  bool salvaged = false;
-  bool cold = false;
-  std::size_t entries_recovered = 0;
-  std::string quarantine_path;  ///< "<path>.corrupt" when damaged, else ""
-  std::string detail;           ///< human-readable reason when not clean
-};
+/// Outcome of a cache load (the optional out-param of Load): the
+/// support::LoadDocument outcome, records = cache entries.
+using CacheLoadStats = support::LoadOutcome;
 
 class VerdictCache {
  public:
@@ -130,15 +113,15 @@ class VerdictCache {
   std::string ToJson() const;
 
   /// Replaces the contents with the entries parsed from `json_text`.
-  /// Returns false (leaving the cache empty) on malformed input.
+  /// Returns false (leaving the cache empty) unless the document loads
+  /// clean under support::ParseDocument.
   bool FromJson(const std::string& json_text);
 
-  /// Loads `path`, tolerating absent/corrupt/truncated files: a torn file
-  /// yields the intact prefix of its entries (the damaged original is
-  /// quarantined), anything worse leaves the cache empty — a cold start,
-  /// never a crash. Returns true when the cache came back warm (a clean
-  /// load, or a salvage that recovered at least one entry). Honours the
-  /// "cache.load.eio" fault point. Fills `*stats` when non-null.
+  /// Replaces the contents from `path` through support::LoadDocument: a
+  /// salvaged file keeps its intact entries, a cold one leaves the cache
+  /// empty — never a crash. Returns true when the cache came back warm (a
+  /// clean load, or a salvage that recovered at least one entry). Honours
+  /// the "cache.load.eio" fault point. Fills `*stats` when non-null.
   bool Load(const std::string& path, CacheLoadStats* stats = nullptr);
 
   /// Writes the cache to `path` durably and atomically (temp file + fsync
@@ -154,14 +137,21 @@ class VerdictCache {
     CachedVerdict verdict;
   };
 
-  static std::uint64_t MapKey(std::uint64_t scope,
-                              std::span<const Interval> box);
-  static Entry EntryFromJson(const json::JsonValue& ev);
-
-  mutable std::mutex mu_;
   // Buckets by combined (scope, box-bits) hash; entries inside a bucket are
   // disambiguated by exact scope and box comparison.
-  std::unordered_map<std::uint64_t, std::vector<Entry>> entries_;
+  using Buckets = std::unordered_map<std::uint64_t, std::vector<Entry>>;
+
+  static std::uint64_t MapKey(std::uint64_t scope,
+                              std::span<const Interval> box);
+  /// Parses one entry record into `staged`; throws xcv::InternalError on
+  /// a malformed record.
+  static void StageEntry(const json::JsonValue& ev, Buckets& staged);
+  /// Replaces the contents with `staged` (`count` entries) in one step,
+  /// so a failed load can never leave the cache half-loaded.
+  void Adopt(Buckets staged, std::size_t count);
+
+  mutable std::mutex mu_;
+  Buckets entries_;
   std::size_t count_ = 0;
 
   mutable std::atomic<std::uint64_t> hits_{0};

@@ -281,13 +281,12 @@ std::string CheckpointToJson(const CampaignOptions& options,
   return out;
 }
 
-Checkpoint CheckpointFromJson(const std::string& json_text) {
-  const JsonValue root = json::ParseJson(json_text);
-  XCV_CHECK_MSG(root.At("format").AsString() == "xcv-campaign-checkpoint",
-                "not an xcv campaign checkpoint");
-  json::RequireSupportedSchema(root, "xcv-campaign-checkpoint", 1);
+namespace {
 
-  Checkpoint cp;
+constexpr support::DocumentKind kCheckpointDocument = {
+    "xcv-campaign-checkpoint", 1, "pairs", "checkpoint.load"};
+
+void HeaderFromJson(const JsonValue& root, Checkpoint& cp) {
   cp.cancelled = root.At("cancelled").AsBool();
 
   const JsonValue& o = root.At("options");
@@ -320,9 +319,22 @@ Checkpoint CheckpointFromJson(const std::string& json_text) {
   // (and irrelevant to results — the wave width never changes verdicts).
   if (const JsonValue* w = s.Find("wave_width"))
     v.solver.wave_width = static_cast<int>(w->AsDouble());
+}
 
-  for (const JsonValue& pv : root.At("pairs").array)
-    cp.pairs.push_back(PairStateFromJson(pv));
+/// The checkpoint format's two callbacks, filling `cp`.
+support::LoadOutcome ParseCheckpoint(const std::string& text, Checkpoint& cp) {
+  return support::ParseDocument(
+      text, kCheckpointDocument,
+      [&](const JsonValue& root) { HeaderFromJson(root, cp); },
+      [&](const JsonValue& pv) { cp.pairs.push_back(PairStateFromJson(pv)); });
+}
+
+}  // namespace
+
+Checkpoint CheckpointFromJson(const std::string& json_text) {
+  Checkpoint cp;
+  const support::LoadOutcome outcome = ParseCheckpoint(json_text, cp);
+  XCV_CHECK_MSG(outcome.clean, "malformed checkpoint: " << outcome.detail);
   return cp;
 }
 
@@ -343,99 +355,21 @@ Checkpoint LoadCheckpointFile(const std::string& path) {
   std::string text;
   XCV_CHECK_MSG(support::ReadFileToString(path, &text, "checkpoint.load"),
                 "cannot read checkpoint '" << path << "'");
-  XCV_CHECK_MSG(
-      support::VerifyDocumentChecksum(text) !=
-          support::ChecksumStatus::kMismatch,
-      "checkpoint '" << path << "' failed its checksum (corrupt file)");
-  return CheckpointFromJson(text);
+  Checkpoint cp;
+  const support::LoadOutcome outcome = ParseCheckpoint(text, cp);
+  XCV_CHECK_MSG(outcome.clean,
+                "checkpoint '" << path << "' is damaged: " << outcome.detail);
+  return cp;
 }
 
 CheckpointLoadResult LoadCheckpointFileTolerant(const std::string& path) {
   CheckpointLoadResult result;
-  std::string text;
-  if (!support::ReadFileToString(path, &text, "checkpoint.load")) {
-    result.cold = true;
-    result.detail = "cannot read '" + path + "'";
-    return result;
-  }
-  const support::ChecksumStatus checksum =
-      support::VerifyDocumentChecksum(text);
-
-  // First try the strict path: a document that parses whole and whose
-  // checksum agrees (or is absent — legacy writer) is clean.
-  bool parses = true;
-  try {
-    result.checkpoint = CheckpointFromJson(text);
-  } catch (const InternalError&) {
-    parses = false;
-    result.checkpoint = Checkpoint{};
-  }
-  if (parses) {
-    if (checksum != support::ChecksumStatus::kMismatch) {
-      result.clean = true;
-      result.pairs_recovered = result.checkpoint.pairs.size();
-      return result;
-    }
-    // Parses but hashes wrong: bytes changed in place. A torn tail cannot
-    // produce this (it fails to parse), so no individual pair can be
-    // trusted either — cold start, keep the evidence.
-    result.cold = true;
-    result.checkpoint = Checkpoint{};
-    result.quarantine_path = support::QuarantineFile(path, text);
-    result.detail = "checksum mismatch in '" + path +
-                    "' (content corruption); starting cold";
-    return result;
-  }
-
-  // Torn document: recover the options header plus the longest prefix of
-  // complete pair objects. The writer emits "pairs" last, so a truncated
-  // file keeps an intact header; each pair object is carved out with the
-  // balanced-bracket scanner and must parse on its own to count.
-  constexpr const char kPairsMarker[] = "\"pairs\": [";
-  const std::size_t marker = text.find(kPairsMarker);
-  if (marker == std::string::npos) {
-    result.cold = true;
-    result.quarantine_path = support::QuarantineFile(path, text);
-    result.detail = "checkpoint '" + path +
-                    "' is damaged before its pairs array; starting cold";
-    return result;
-  }
-  const std::size_t pairs_open = marker + sizeof(kPairsMarker) - 2;
-  try {
-    const std::string header =
-        text.substr(0, pairs_open + 1) + "]\n}\n";
-    result.checkpoint = CheckpointFromJson(header);
-  } catch (const InternalError&) {
-    result.cold = true;
-    result.checkpoint = Checkpoint{};
-    result.quarantine_path = support::QuarantineFile(path, text);
-    result.detail = "checkpoint '" + path +
-                    "' has a damaged options header; starting cold";
-    return result;
-  }
-
-  std::size_t pos = pairs_open + 1;
-  for (;;) {
-    while (pos < text.size() &&
-           (text[pos] == ',' || text[pos] == '\n' || text[pos] == ' ' ||
-            text[pos] == '\t' || text[pos] == '\r'))
-      ++pos;
-    if (pos >= text.size() || text[pos] != '{') break;
-    const std::size_t end = json::SkipBalanced(text, pos);
-    if (end == std::string::npos) break;  // the torn tail
-    try {
-      const JsonValue pv = json::ParseJson(text.substr(pos, end - pos));
-      result.checkpoint.pairs.push_back(PairStateFromJson(pv));
-    } catch (const InternalError&) {
-      break;  // complete braces but damaged content: stop at the prefix
-    }
-    pos = end;
-  }
-  result.salvaged = true;
-  result.pairs_recovered = result.checkpoint.pairs.size();
-  result.quarantine_path = support::QuarantineFile(path, text);
-  result.detail = "salvaged " + std::to_string(result.pairs_recovered) +
-                  " intact pair(s) from torn checkpoint '" + path + "'";
+  Checkpoint& cp = result.checkpoint;
+  static_cast<support::LoadOutcome&>(result) = support::LoadDocument(
+      path, kCheckpointDocument,
+      [&](const JsonValue& root) { HeaderFromJson(root, cp); },
+      [&](const JsonValue& pv) { cp.pairs.push_back(PairStateFromJson(pv)); });
+  if (result.cold) cp = Checkpoint{};  // a rejected header may be half-read
   return result;
 }
 

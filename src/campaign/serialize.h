@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "campaign/campaign.h"
+#include "support/io.h"
 
 namespace xcv::campaign {
 
@@ -28,8 +29,9 @@ std::string CheckpointToJson(const CampaignOptions& options,
                              const std::vector<PairState>& pairs,
                              bool cancelled);
 
-/// Parses a document produced by CheckpointToJson. Throws
-/// xcv::InternalError on malformed input.
+/// Parses a document produced by CheckpointToJson (with or without a
+/// file checksum). Throws xcv::InternalError unless the document loads
+/// clean under support::ParseDocument.
 Checkpoint CheckpointFromJson(const std::string& json);
 
 /// Writes durably and atomically: temp file + fsync + rename + directory
@@ -44,36 +46,20 @@ void WriteCheckpointFile(const std::string& path,
 
 /// Reads and parses a checkpoint file. Throws xcv::InternalError if the
 /// file is unreadable, malformed, or fails its checksum (documents without
-/// a checksum — legacy writers — are accepted).
+/// a checksum — legacy writers — are accepted). Writes nothing.
 Checkpoint LoadCheckpointFile(const std::string& path);
 
-/// Outcome of a tolerant checkpoint load (LoadCheckpointFileTolerant).
-/// Exactly one of `clean`, `salvaged`, `cold` is true:
-///   * clean:    full parse + checksum ok (or legacy, no checksum field);
-///   * salvaged: the document was torn (truncated/short-written) — the
-///     options header and the longest intact prefix of complete pairs were
-///     recovered; the damaged original is quarantined;
-///   * cold:     nothing recoverable — the file is unreadable, its header
-///     is torn, or it parses but fails its checksum (content corruption: a
-///     file whose bytes changed in place cannot be trusted pair by pair,
-///     so no pair is).
-struct CheckpointLoadResult {
+/// A tolerant checkpoint load: the support::LoadDocument outcome (clean /
+/// salvaged / cold, records = pairs) plus what was recovered. A salvaged
+/// checkpoint holds the options header and the intact pairs; a cold one is
+/// empty.
+struct CheckpointLoadResult : support::LoadOutcome {
   Checkpoint checkpoint;
-  bool clean = false;
-  bool salvaged = false;
-  bool cold = false;
-  std::size_t pairs_recovered = 0;
-  /// Copy of the damaged bytes ("<path>.corrupt"), kept for post-mortems;
-  /// empty when clean or when the quarantine copy could not be written.
-  std::string quarantine_path;
-  /// Human-readable reason when not clean.
-  std::string detail;
 };
 
-/// Best-effort load that never throws on damaged input: full parse when
-/// possible, salvage of the intact pair prefix from torn documents,
-/// quarantine of the damaged original. Used by `xcv resume` and the
-/// elastic coordinator, and by the torn-file recovery tests.
+/// Loads `path` through support::LoadDocument: never throws on damaged
+/// input, honours "checkpoint.load.eio". Used by `xcv resume`, the elastic
+/// coordinator and xcvd.
 CheckpointLoadResult LoadCheckpointFileTolerant(const std::string& path);
 
 // ---- Building blocks (shared with the CLI's json/csv output) ---------------

@@ -50,6 +50,9 @@ JobStatus JobStatusFromToken(const std::string& token) {
 
 namespace {
 
+constexpr support::DocumentKind kQueueDocument = {
+    "xcvd-queue", kQueueSchemaVersion, "jobs", "service.journal.load"};
+
 bool IsStopped(JobStatus s) {
   return s == JobStatus::kPaused || s == JobStatus::kCancelled ||
          s == JobStatus::kDone || s == JobStatus::kFailed;
@@ -223,13 +226,6 @@ void Daemon::SaveJournalLocked() {
 }
 
 void Daemon::LoadJournal() {
-  std::string text;
-  if (!support::ReadFileToString(JournalPath(), &text,
-                                 "service.journal.load"))
-    return;  // fresh state dir (or injected EIO): empty queue
-  const support::ChecksumStatus checksum =
-      support::VerifyDocumentChecksum(text);
-
   // One job entry -> one queue record, with interrupted states remapped:
   // a job that was running (or mid-pause/-cancel) when the daemon died
   // continues from its checkpoint with the requester's intent honoured.
@@ -246,20 +242,7 @@ void Daemon::LoadJournal() {
     else if (job->status == JobStatus::kCancelling)
       job->status = JobStatus::kCancelled;
 
-    // Rebuild the progress view from the job's checkpoint when it has one
-    // (paused/interrupted/done jobs), else from the unrun matrix.
-    const std::string cp_path = CheckpointPathFor(job->id);
-    std::error_code ec;
-    bool restored = false;
-    if (std::filesystem::exists(cp_path, ec)) {
-      const campaign::CheckpointLoadResult load =
-          campaign::LoadCheckpointFileTolerant(cp_path);
-      if (!load.cold) {
-        job->ProgressFromPairStates(load.checkpoint.pairs);
-        restored = true;
-      }
-    }
-    if (!restored) job->InitProgressFromSpec();
+    job->ProgressFromPairStates(ResumePairs(*job));
 
     // Keep next_id_ ahead of every recovered id even if the header's
     // counter was lost to a torn write.
@@ -270,82 +253,31 @@ void Daemon::LoadJournal() {
     jobs_.push_back(std::move(job));
   };
 
-  bool parses = true;
-  JsonValue root;
-  try {
-    root = json::ParseJson(text);
-  } catch (const InternalError&) {
-    parses = false;
-  }
+  const support::LoadOutcome load = support::LoadDocument(
+      JournalPath(), kQueueDocument,
+      [&](const JsonValue& root) {
+        next_id_ = static_cast<std::uint64_t>(root.At("next_id").AsDouble());
+      },
+      restore_entry);
+  // Job checkpoints on disk are untouched by a cold queue: resubmitted
+  // jobs still resume from them.
+  if (options_.verbose && !load.quarantine_path.empty())
+    std::fprintf(stderr, "[xcvd] %s\n", load.detail.c_str());
+}
 
-  if (parses) {
-    if (checksum == support::ChecksumStatus::kMismatch) {
-      // Parses but hashes wrong: in-place corruption; no record can be
-      // trusted. Cold queue, keep the evidence. Job checkpoints on disk
-      // are untouched — resubmitted jobs will still resume from them.
-      support::QuarantineFile(JournalPath(), text);
-      return;
-    }
-    try {
-      XCV_CHECK_MSG(root.At("format").AsString() == "xcvd-queue",
-                    "not an xcvd queue journal");
-      json::RequireSupportedSchema(root, "xcvd-queue", kQueueSchemaVersion);
-      next_id_ = static_cast<std::uint64_t>(root.At("next_id").AsDouble());
-      for (const JsonValue& e : root.At("jobs").array) {
-        try {
-          restore_entry(e);
-        } catch (const InternalError&) {
-          // One damaged record must not take the rest of the queue down.
-        }
-      }
-    } catch (const InternalError&) {
-      jobs_.clear();
-      next_id_ = 1;
-      support::QuarantineFile(JournalPath(), text);
-    }
-    return;
-  }
-
-  // Torn journal (crash mid-write, short-write fault): salvage the intact
-  // prefix of job records, exactly like the checkpoint salvage loader.
-  constexpr const char kJobsMarker[] = "\"jobs\": [";
-  const std::size_t marker = text.find(kJobsMarker);
-  if (marker == std::string::npos) {
-    support::QuarantineFile(JournalPath(), text);
-    return;
-  }
-  const std::size_t jobs_open = marker + sizeof(kJobsMarker) - 2;
-  try {
-    const std::string header = text.substr(0, jobs_open + 1) + "]\n}\n";
-    const JsonValue hroot = json::ParseJson(header);
-    XCV_CHECK_MSG(hroot.At("format").AsString() == "xcvd-queue",
-                  "not an xcvd queue journal");
-    json::RequireSupportedSchema(hroot, "xcvd-queue", kQueueSchemaVersion);
-    next_id_ = static_cast<std::uint64_t>(hroot.At("next_id").AsDouble());
-  } catch (const InternalError&) {
-    support::QuarantineFile(JournalPath(), text);
-    return;
-  }
-  std::size_t pos = jobs_open + 1;
-  for (;;) {
-    while (pos < text.size() &&
-           (text[pos] == ',' || text[pos] == '\n' || text[pos] == ' ' ||
-            text[pos] == '\t' || text[pos] == '\r'))
-      ++pos;
-    if (pos >= text.size() || text[pos] != '{') break;
-    const std::size_t end = json::SkipBalanced(text, pos);
-    if (end == std::string::npos) break;  // the torn tail
-    try {
-      restore_entry(json::ParseJson(text.substr(pos, end - pos)));
-    } catch (const InternalError&) {
-      break;  // complete braces but damaged content: stop at the prefix
-    }
-    pos = end;
-  }
-  support::QuarantineFile(JournalPath(), text);
-  if (options_.verbose)
-    std::fprintf(stderr, "[xcvd] salvaged %zu job(s) from torn journal\n",
-                 jobs_.size());
+std::vector<PairState> Daemon::ResumePairs(const Job& job) const {
+  std::vector<PairState> pairs = api::InitialPairs(job.spec);
+  const std::string path = CheckpointPathFor(job.id);
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return pairs;
+  campaign::CheckpointLoadResult load =
+      campaign::LoadCheckpointFileTolerant(path);
+  for (PairState& recovered : load.checkpoint.pairs)
+    for (PairState& p : pairs)
+      if (p.functional == recovered.functional &&
+          p.condition == recovered.condition)
+        p = std::move(recovered);
+  return pairs;
 }
 
 // ---- Lifecycle --------------------------------------------------------------
@@ -526,20 +458,8 @@ void Daemon::RunJob(Job* job) {
   try {
     campaign::Campaign campaign(options);
     // A job that already has a checkpoint (pause, restart, resume) picks
-    // up exactly where it stopped; a fresh job builds its matrix through
-    // the same PopulateCampaign path the CLI uses.
-    bool restored = false;
-    std::error_code ec;
-    if (std::filesystem::exists(options.checkpoint_path, ec)) {
-      campaign::CheckpointLoadResult load =
-          campaign::LoadCheckpointFileTolerant(options.checkpoint_path);
-      if (!load.cold && !load.checkpoint.pairs.empty()) {
-        for (PairState& p : load.checkpoint.pairs)
-          campaign.Restore(std::move(p));
-        restored = true;
-      }
-    }
-    if (!restored) api::PopulateCampaign(job->spec, campaign);
+    // up exactly where it stopped.
+    for (PairState& p : ResumePairs(*job)) campaign.Restore(std::move(p));
 
     // job->campaign must never outlive the stack-local Campaign: if Run
     // throws, the unwind destroys the Campaign while a concurrent

@@ -14,11 +14,12 @@
 // AtomicWriteFile + document checksum on every state change, and every job
 // checkpoints to <state_dir>/job-<id>.json after each completed pair (the
 // campaign engine's own checkpointing). Kill the daemon at any instant and
-// a restart reloads the journal (tolerantly: a torn journal salvages the
-// intact prefix, a checksum mismatch quarantines and starts cold),
-// re-queues the jobs that were running, and resumes each from its
-// checkpoint — converging to the same report bytes as an uninterrupted
-// run. Fault points: service.journal.save.short-write,
+// a restart reloads the journal and each job's checkpoint through
+// support::LoadDocument (the shared clean / salvaged / cold policy, see
+// support/io.h), re-queues the jobs that were running, and resumes each
+// from its checkpoint — pairs a salvaged checkpoint lost start fresh —
+// converging to the same report bytes as an uninterrupted run. Fault
+// points: service.journal.save.short-write,
 // service.journal.save.crash-before-rename, service.journal.load.eio.
 //
 // Endpoints (all JSON unless noted):
@@ -139,6 +140,11 @@ class Daemon {
     std::atomic<bool> done{false};
   };
 
+  /// The job's full matrix (api::InitialPairs order) with every pair its
+  /// checkpoint recovered overlaid by (functional, condition): a salvaged
+  /// checkpoint holds only some pairs, and the rest start fresh.
+  std::vector<campaign::PairState> ResumePairs(const Job& job) const;
+
   std::string JournalPath() const;
   std::string CachePath() const;
   std::string CheckpointPathFor(const std::string& id) const;
@@ -155,8 +161,8 @@ class Daemon {
   /// every save stages through the same `cache.json.tmp`, and two runners
   /// finishing together would otherwise race on it.
   void SaveCache();
-  /// Tolerant reload: strict parse first, then torn-prefix salvage, then
-  /// cold start with quarantine. Interrupted jobs re-queue.
+  /// Reloads the queue through support::LoadDocument (records = jobs; the
+  /// header restores next_id_). Interrupted jobs re-queue.
   void LoadJournal();
 
   Job* FindLocked(const std::string& id);

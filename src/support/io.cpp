@@ -15,6 +15,7 @@
 
 #include "support/check.h"
 #include "support/fault.h"
+#include "support/json.h"
 
 namespace xcv::support {
 
@@ -120,26 +121,21 @@ void TouchFile(const std::string& path) {
 #endif
 }
 
-std::string QuarantineFile(const std::string& path, std::string_view bytes) {
-  const std::string qpath = path + ".corrupt";
-  std::ofstream os(qpath, std::ios::trunc | std::ios::binary);
-  if (!os.good()) return "";
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return os.good() ? qpath : "";
-}
-
 // ---- Document checksums -----------------------------------------------------
 
-std::uint64_t HashBytes(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+namespace {
+
+constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+
+/// FNV-1a 64 continued from `h`, so a document can be hashed around a hole
+/// without copying it.
+std::uint64_t HashMore(std::uint64_t h, std::string_view text) {
   for (const char c : text) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;  // FNV-1a prime
   }
   return h;
 }
-
-namespace {
 
 constexpr const char kChecksumField[] = "\"checksum\": \"";
 
@@ -150,7 +146,22 @@ std::string HexChecksum(std::uint64_t h) {
   return buf;
 }
 
+/// Best-effort copy of a damaged file's bytes to "<path>.corrupt", so
+/// salvage/cold recovery never destroys the evidence. Returns the
+/// quarantine path, or "" when the copy could not be written.
+std::string QuarantineFile(const std::string& path, std::string_view bytes) {
+  const std::string qpath = path + ".corrupt";
+  std::ofstream os(qpath, std::ios::trunc | std::ios::binary);
+  if (!os.good()) return "";
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return os.good() ? qpath : "";
+}
+
 }  // namespace
+
+std::uint64_t HashBytes(std::string_view text) {
+  return HashMore(kFnvOffsetBasis, text);
+}
 
 std::string AddDocumentChecksum(std::string json) {
   const std::size_t version = json.find("\"version\": ");
@@ -169,16 +180,117 @@ ChecksumStatus VerifyDocumentChecksum(const std::string& text) {
   if (field == std::string::npos) return ChecksumStatus::kAbsent;
   const std::size_t hex = field + sizeof(kChecksumField) - 1;
   if (hex + 16 > text.size()) return ChecksumStatus::kMismatch;
-  const std::string recorded = text.substr(hex, 16);
-  // Excise the whole checksum line: from the start of its line through the
-  // trailing newline (when present).
+  // Hash around the whole checksum line: from the start of its line
+  // through the trailing newline (when present).
   std::size_t line_start = text.rfind('\n', field);
   line_start = line_start == std::string::npos ? 0 : line_start + 1;
   std::size_t line_end = text.find('\n', field);
   line_end = line_end == std::string::npos ? text.size() : line_end + 1;
-  std::string rest = text.substr(0, line_start) + text.substr(line_end);
-  return HexChecksum(HashBytes(rest)) == recorded ? ChecksumStatus::kOk
-                                                  : ChecksumStatus::kMismatch;
+  const std::string_view view(text);
+  const std::uint64_t h = HashMore(
+      HashMore(kFnvOffsetBasis, view.substr(0, line_start)),
+      view.substr(line_end));
+  return view.substr(hex, 16) == HexChecksum(h) ? ChecksumStatus::kOk
+                                                 : ChecksumStatus::kMismatch;
+}
+
+// ---- Durable documents ------------------------------------------------------
+
+LoadOutcome ParseDocument(const std::string& text, const DocumentKind& kind,
+                          const DocumentCallback& on_header,
+                          const DocumentCallback& on_item) {
+  LoadOutcome out;
+  auto cold = [&out](std::string why) {
+    out.cold = true;
+    out.detail = std::move(why);
+    return out;
+  };
+  const bool mismatch =
+      VerifyDocumentChecksum(text) == ChecksumStatus::kMismatch;
+  json::JsonValue root;
+  bool torn = false;
+  try {
+    root = json::ParseJson(text);
+  } catch (const InternalError&) {
+    torn = true;
+  }
+  if (!torn && mismatch) return cold("checksum mismatch (content corruption)");
+
+  std::size_t records = 0;  // torn: one past the record array's '['
+  try {
+    if (torn) {
+      // The record array is written last, so the bytes in front of it
+      // hold the whole header.
+      const std::string marker = std::string("\"") + kind.items + "\": [";
+      const std::size_t at = text.find(marker);
+      XCV_CHECK_MSG(at != std::string::npos,
+                    "torn before its " << kind.items << " array");
+      records = at + marker.size();
+      root = json::ParseJson(text.substr(0, records) + "]\n}\n");
+    }
+    XCV_CHECK_MSG(root.At("format").AsString() == kind.format,
+                  "not an " << kind.format << " document");
+    json::RequireSupportedSchema(root, kind.format, kind.schema);
+    XCV_CHECK_MSG(root.At(kind.items).kind == json::JsonValue::Kind::kArray,
+                  "'" << kind.items << "' is not an array");
+    if (on_header) on_header(root);
+  } catch (const InternalError& e) {
+    return cold(std::string("damaged header: ") + e.what());
+  }
+
+  std::size_t dropped = 0;
+  auto offer = [&](auto&& record) {
+    try {
+      on_item(record());
+      ++out.items_recovered;
+    } catch (const InternalError&) {
+      ++dropped;  // one damaged record must not take the rest down
+    }
+  };
+  if (!torn) {
+    for (const json::JsonValue& item : root.At(kind.items).array)
+      offer([&]() -> const json::JsonValue& { return item; });
+  } else {
+    // Carve each record object out with the balanced-bracket scanner; the
+    // scan ends at the first one that does not close (the torn tail).
+    for (std::size_t pos = records;;) {
+      pos = text.find_first_not_of(", \t\r\n", pos);
+      if (pos == std::string::npos || text[pos] != '{') break;
+      const std::size_t end = json::SkipBalanced(text, pos);
+      if (end == std::string::npos) break;
+      offer([&] { return json::ParseJson(text.substr(pos, end - pos)); });
+      pos = end;
+    }
+  }
+  if (!torn && dropped == 0) {
+    out.clean = true;
+    return out;
+  }
+  out.salvaged = true;
+  out.detail = std::string(torn ? "torn document, " : "") + "kept " +
+               std::to_string(out.items_recovered) + " intact " +
+               kind.items + " record(s)";
+  if (dropped > 0)
+    out.detail += ", dropped " + std::to_string(dropped) + " damaged";
+  return out;
+}
+
+LoadOutcome LoadDocument(const std::string& path, const DocumentKind& kind,
+                         const DocumentCallback& on_header,
+                         const DocumentCallback& on_item) {
+  std::string text;
+  if (!ReadFileToString(path, &text, kind.load_fault)) {
+    LoadOutcome out;
+    out.cold = true;
+    out.detail = "cannot read '" + path + "'";
+    return out;
+  }
+  LoadOutcome out = ParseDocument(text, kind, on_header, on_item);
+  if (!out.clean) {
+    out.quarantine_path = QuarantineFile(path, text);
+    out.detail = std::string(kind.format) + " '" + path + "': " + out.detail;
+  }
+  return out;
 }
 
 }  // namespace xcv::support

@@ -49,7 +49,8 @@ JsonValue ParseJson(const std::string& text);
 /// matching close bracket — string- and escape-aware, so braces inside
 /// string values do not confuse it. Returns std::string::npos when the
 /// value is incomplete (a torn document) or `start` is not a bracket.
-/// Used by the salvage loaders to carve intact entries out of torn files.
+/// Used by support::ParseDocument to carve intact records out of torn
+/// documents.
 std::size_t SkipBalanced(const std::string& text, std::size_t start);
 
 // ---- Schema versioning ------------------------------------------------------

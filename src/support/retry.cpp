@@ -165,46 +165,37 @@ std::string NodeLedger::ToJson() const {
   return out;
 }
 
-void NodeLedger::FromJson(const std::string& text) {
-  const json::JsonValue doc = json::ParseJson(text);
-  XCV_CHECK_MSG(doc.At("format").AsString() == "xcv-node-ledger",
-                "not a node-ledger document");
-  std::vector<NodeHealth> parsed;
-  for (const json::JsonValue& v : doc.At("nodes").array) {
-    NodeHealth n;
-    n.node = v.At("node").AsString();
-    n.launches = static_cast<std::uint64_t>(v.At("launches").AsDouble());
-    n.successes = static_cast<std::uint64_t>(v.At("successes").AsDouble());
-    n.failures = static_cast<std::uint64_t>(v.At("failures").AsDouble());
-    n.preemptions = static_cast<std::uint64_t>(v.At("preemptions").AsDouble());
-    n.consecutive_failures =
-        static_cast<int>(v.At("consecutive_failures").AsDouble());
-    n.quarantined = v.At("quarantined").AsBool();
-    n.cooldown_epochs_left =
-        static_cast<int>(v.At("cooldown_epochs_left").AsDouble());
-    n.last_failure = v.At("last_failure").AsString();
-    parsed.push_back(std::move(n));
-  }
-  nodes_ = std::move(parsed);
+namespace {
+
+constexpr DocumentKind kLedgerDocument = {"xcv-node-ledger", 1, "nodes",
+                                          "nodes.load"};
+
+NodeHealth NodeFromJson(const json::JsonValue& v) {
+  NodeHealth n;
+  n.node = v.At("node").AsString();
+  n.launches = static_cast<std::uint64_t>(v.At("launches").AsDouble());
+  n.successes = static_cast<std::uint64_t>(v.At("successes").AsDouble());
+  n.failures = static_cast<std::uint64_t>(v.At("failures").AsDouble());
+  n.preemptions = static_cast<std::uint64_t>(v.At("preemptions").AsDouble());
+  n.consecutive_failures =
+      static_cast<int>(v.At("consecutive_failures").AsDouble());
+  n.quarantined = v.At("quarantined").AsBool();
+  n.cooldown_epochs_left =
+      static_cast<int>(v.At("cooldown_epochs_left").AsDouble());
+  n.last_failure = v.At("last_failure").AsString();
+  return n;
 }
+
+}  // namespace
 
 bool NodeLedger::Load(const std::string& path) {
   path_ = path;
   nodes_.clear();
-  std::string text;
-  if (!ReadFileToString(path, &text, "nodes.load")) return false;
-  if (VerifyDocumentChecksum(text) == ChecksumStatus::kMismatch) {
-    QuarantineFile(path, text);
-    return false;
-  }
-  try {
-    FromJson(text);
-  } catch (const InternalError&) {
-    QuarantineFile(path, text);
-    nodes_.clear();
-    return false;
-  }
-  return true;
+  return !LoadDocument(path, kLedgerDocument, nullptr,
+                       [&](const json::JsonValue& v) {
+                         nodes_.push_back(NodeFromJson(v));
+                       })
+              .cold;
 }
 
 void NodeLedger::Save() const {

@@ -107,13 +107,15 @@ struct NodeHealth {
 /// AtomicWriteFile with a document checksum (fault points
 /// `nodes.save.short-write`, `nodes.save.crash-before-rename`,
 /// `nodes.load.eio`), so the blacklist survives a killed-and-rerun
-/// supervisor; a corrupt ledger cold-starts (quarantining the bytes) and
-/// never aborts a campaign.
+/// supervisor. It loads through support::LoadDocument (support/io.h), so a
+/// damaged ledger never aborts a campaign.
 class NodeLedger {
  public:
-  /// Binds the ledger to `path` and loads it when present. Returns false
-  /// on a cold start (missing, unreadable, torn, or checksum-mismatched
-  /// file — the damaged bytes go to `<path>.corrupt`).
+  /// Binds the ledger to `path` and loads it through support::LoadDocument.
+  /// Returns false on a cold start (missing, unreadable, checksum-
+  /// mismatched or header-damaged file). Sharing that policy gives the
+  /// ledger prefix salvage: a torn ledger keeps every node record that
+  /// still closes and returns true. Damaged bytes go to `<path>.corrupt`.
   bool Load(const std::string& path);
   /// Durable write-back of every record. No-op when Load was never called
   /// (in-memory ledgers, tests).
@@ -138,9 +140,6 @@ class NodeLedger {
   void TickEpoch();
 
   std::string ToJson() const;
-  /// Replaces the records from a ledger document. Throws
-  /// xcv::InternalError on malformed input (Load wraps this tolerantly).
-  void FromJson(const std::string& json);
 
  private:
   std::string path_;

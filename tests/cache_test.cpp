@@ -18,6 +18,7 @@
 #include "expr/optimize.h"
 #include "functionals/functional.h"
 #include "solver/icp.h"
+#include "support/io.h"
 #include "verifier/verifier.h"
 
 namespace xcv::cache {
@@ -146,6 +147,41 @@ TEST(VerdictCache, CorruptOrTruncatedFilesDegradeToCold) {
   EXPECT_EQ(cache.size(), 0u);
   // Missing file.
   EXPECT_FALSE(cache.Load(TempPath("does-not-exist.json")));
+}
+
+// A whole, checksummed cache that declares a newer schema or another format
+// is not torn: none of its entries may be replayed, and the reason names
+// the header field at fault.
+TEST(VerdictCache, ForeignSchemaOrFormatLoadsCold) {
+  VerdictCache full;
+  full.Store(1, std::vector<Interval>{Interval(0.0, 1.0)}, CachedVerdict{});
+  const std::string json = full.ToJson();
+  const struct {
+    std::string from, to, reason;
+  } kCases[] = {
+      {"\"schema_version\": 1", "\"schema_version\": 2", "schema_version 2"},
+      {"\"format\": \"xcv-verdict-cache\"", "\"format\": \"xcv-verdict-cash\"",
+       "not an xcv-verdict-cache document"},
+  };
+  const std::string path = TempPath("foreign-cache.json");
+  for (const auto& c : kCases) {
+    std::string doc = json;
+    const std::size_t at = doc.find(c.from);
+    ASSERT_NE(at, std::string::npos);
+    doc.replace(at, c.from.size(), c.to);
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os << support::AddDocumentChecksum(doc);
+    }
+    VerdictCache cache;
+    CacheLoadStats stats;
+    EXPECT_FALSE(cache.Load(path, &stats)) << c.to;
+    EXPECT_TRUE(stats.cold) << stats.detail;
+    EXPECT_FALSE(stats.salvaged) << stats.detail;
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_NE(stats.detail.find(c.reason), std::string::npos) << stats.detail;
+    EXPECT_EQ(stats.quarantine_path, path + ".corrupt");
+  }
 }
 
 TEST(VerdictCache, WarmCampaignReplaysByteIdenticalAndSkipsSolverCalls) {

@@ -227,7 +227,7 @@ TEST_F(FaultTest, ContentCorruptionColdStartsAndQuarantines) {
 
   const CheckpointLoadResult r = campaign::LoadCheckpointFileTolerant(path);
   EXPECT_TRUE(r.cold);
-  EXPECT_EQ(r.pairs_recovered, 0u);
+  EXPECT_EQ(r.items_recovered, 0u);
   EXPECT_EQ(r.quarantine_path, path + ".corrupt");
   EXPECT_EQ(ReadAll(r.quarantine_path), bytes);
   // The strict loader refuses it outright.
@@ -267,7 +267,7 @@ TEST_F(FaultTest, TruncationSweepSalvagesOrColdStartsNeverLies) {
     EXPECT_FALSE(r.clean) << "truncated file reported clean at cut " << cut;
     if (r.salvaged) ++salvage_hits;
     if (r.cold) ++cold_hits;
-    ASSERT_EQ(r.checkpoint.pairs.size(), r.pairs_recovered);
+    ASSERT_EQ(r.checkpoint.pairs.size(), r.items_recovered);
     for (const PairState& p : r.checkpoint.pairs) {
       const std::string key = p.functional + '\x1f' + p.condition;
       bool matched = false;
@@ -316,7 +316,7 @@ TEST_F(FaultTest, CacheTruncationSweepSalvagesOrColdStarts) {
       continue;
     }
     EXPECT_FALSE(stats.clean) << "truncated cache clean at cut " << cut;
-    EXPECT_EQ(stats.entries_recovered, salvaged.size());
+    EXPECT_EQ(stats.items_recovered, salvaged.size());
     // Every salvaged entry must replay exactly the verdict the original
     // cache holds for that key — a salvage can shrink the cache, never
     // corrupt it.

@@ -801,6 +801,67 @@ TEST(ServiceJournalTest, LoadEioStartsColdWithoutCrashing) {
   fault::Disarm();
 }
 
+TEST(ServiceJournalTest, SalvagedCheckpointResumesTheWholeMatrix) {
+  const std::string reference = DirectCsv(kInstantSpec);
+  const std::string dir = FreshStateDir("salvaged_ck");
+  {
+    DaemonOptions options;
+    options.state_dir = dir;
+    options.port = 0;
+    Daemon daemon(options);
+    daemon.Start();
+    ASSERT_EQ(HttpFetch(daemon.port(), "POST", "/v1/campaigns", kInstantSpec)
+                  .status,
+              201);
+    ASSERT_EQ(WaitForStatus(daemon.port(), "j1", {"done", "failed"}), "done");
+    daemon.Stop();
+  }
+
+  // Tear the job's checkpoint after its second pair (each pair object
+  // opens on a "\n    {\n" line) ...
+  const std::string checkpoint = dir + "/job-j1.json";
+  const std::string bytes = ReadAll(checkpoint);
+  std::size_t cut = 0;
+  for (int pair = 0; pair < 3; ++pair) {
+    cut = bytes.find("\n    {\n", cut + 1);
+    ASSERT_NE(cut, std::string::npos);
+  }
+  WriteAll(checkpoint, bytes.substr(0, cut));
+  const campaign::CheckpointLoadResult torn =
+      campaign::LoadCheckpointFileTolerant(checkpoint);
+  ASSERT_TRUE(torn.salvaged) << torn.detail;
+  ASSERT_EQ(torn.checkpoint.pairs.size(), 2u);
+
+  // ... and record the job as running when the daemon died. Dropping the
+  // checksum line keeps the journal a valid (legacy) document.
+  std::string journal = ReadAll(dir + "/queue.json");
+  const std::size_t sum = journal.find("  \"checksum\"");
+  ASSERT_NE(sum, std::string::npos);
+  journal.erase(sum, journal.find('\n', sum) + 1 - sum);
+  const std::string done = "\"status\": \"done\"";
+  const std::size_t status = journal.find(done);
+  ASSERT_NE(status, std::string::npos);
+  journal.replace(status, done.size(), "\"status\": \"running\"");
+  WriteAll(dir + "/queue.json", journal);
+  // Without the shared cache the lost pairs solve cold, so solver_calls
+  // (column 12) is comparable with the cache-less direct run too.
+  std::filesystem::remove(dir + "/cache.json");
+
+  // The restarted daemon re-queues the job; the two pairs the salvage lost
+  // must run again, not vanish from the report.
+  DaemonOptions options;
+  options.state_dir = dir;
+  options.port = 0;
+  Daemon daemon(options);
+  daemon.Start();
+  ASSERT_EQ(WaitForStatus(daemon.port(), "j1", {"done", "failed"}), "done");
+  const HttpResponse report = HttpFetch(
+      daemon.port(), "GET", "/v1/campaigns/j1/report?format=csv");
+  ASSERT_EQ(report.status, 200);
+  EXPECT_EQ(CutColumns(report.body, 13), CutColumns(reference, 13));
+  daemon.Stop();
+}
+
 using ServiceFaultDeathTest = ::testing::Test;
 
 TEST(ServiceFaultDeathTest, JournalShortWriteCrashesThenSalvages) {

@@ -230,6 +230,26 @@ TEST_F(TransportTest, CorruptLedgerColdStartsAndQuarantinesTheBytes) {
   NodeLedger reloaded;
   EXPECT_TRUE(reloaded.Load(path));
   EXPECT_EQ(reloaded.Get("a").successes, 1u);
+
+  // A torn ledger is not a cold start: the node records that still close
+  // are salvaged, and the damaged bytes are kept.
+  reloaded.RecordFailure("b", FailureKind::kPreempted, RuntimeAttrs{});
+  reloaded.Save();
+  std::string whole;
+  ASSERT_TRUE(support::ReadFileToString(path, &whole));
+  const std::size_t second = whole.find("\"node\": \"b\"");
+  ASSERT_NE(second, std::string::npos);
+  {
+    std::ofstream os(path, std::ios::trunc);
+    os << whole.substr(0, second);
+  }
+  std::filesystem::remove(path + ".corrupt");
+  NodeLedger torn;
+  EXPECT_TRUE(torn.Load(path));
+  ASSERT_EQ(torn.nodes().size(), 1u);
+  EXPECT_EQ(torn.nodes()[0].node, "a");
+  EXPECT_EQ(torn.nodes()[0].successes, 1u);
+  EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
 }
 
 // ---- ssh transport wire shape -----------------------------------------------
