@@ -3,11 +3,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <limits>
 #include <thread>
 
+#include "api/job_spec.h"
 #include "obs/metrics.h"
 #include "service/daemon.h"
 #include "support/check.h"
@@ -21,18 +20,19 @@ void OnSignal(int) { g_signalled = 1; }
 
 int Usage(std::FILE* out) {
   std::fputs(
-      "usage: xcvd [--port N] [--state-dir DIR] [--max-jobs N] [--verbose]\n"
-      "            [--no-job-traces] [--faults SPEC]\n"
+      "usage: xcvd [--port=N] [--state-dir=DIR] [--max-jobs=N] [--verbose]\n"
+      "            [--no-job-traces] [--faults=SPEC]\n"
       "\n"
       "Runs the xcv verification daemon on 127.0.0.1.\n"
-      "  --port N        listen port (default 7070; 0 = ephemeral, printed)\n"
-      "  --state-dir DIR queue journal, job checkpoints, per-job traces,\n"
+      "  --port=N        listen port, 0-65535 (default 7070; 0 = ephemeral,\n"
+      "                  printed)\n"
+      "  --state-dir=DIR queue journal, job checkpoints, per-job traces,\n"
       "                  and the shared verdict cache (default: xcvd-state)\n"
-      "  --max-jobs N    campaigns admitted concurrently (default 1)\n"
+      "  --max-jobs=N    campaigns admitted concurrently, >= 1 (default 1)\n"
       "  --verbose       log scheduling decisions on stderr\n"
       "  --no-job-traces skip per-job span timelines (GET\n"
       "                  /v1/campaigns/:id/trace then 404s)\n"
-      "  --faults SPEC   arm fault-injection points (also: XCV_FAULTS)\n"
+      "  --faults=SPEC   arm fault-injection points (also: XCV_FAULTS)\n"
       "\n"
       "GET /v1/metrics serves the process metrics registry in Prometheus\n"
       "text form; XCV_NO_METRICS=1 disables metric collection.\n",
@@ -44,39 +44,40 @@ int Usage(std::FILE* out) {
 
 int main(int argc, char** argv) {
   xcv::service::DaemonOptions options;
-  options.port = 7070;
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value = [&]() -> std::string {
-        XCV_CHECK_MSG(i + 1 < argc, "flag " << arg << " needs a value");
-        return argv[++i];
-      };
-      if (arg == "--help" || arg == "-h") return Usage(stdout);
-      if (arg == "--port") {
-        options.port = std::atoi(value().c_str());
-      } else if (arg == "--state-dir") {
-        options.state_dir = value();
-      } else if (arg == "--max-jobs") {
-        options.max_concurrent_jobs = std::atoi(value().c_str());
-      } else if (arg == "--verbose") {
-        options.verbose = true;
-      } else if (arg == "--no-job-traces") {
-        options.job_traces = false;
-      } else if (arg == "--faults") {
-        xcv::support::fault::ArmFromSpec(value());
-      } else {
-        std::fprintf(stderr, "xcvd: unknown flag '%s'\n", arg.c_str());
-        return Usage(stderr);
-      }
-    }
+    // The same --key=value dialect as xcv (api::SplitArgs): a typo'd flag
+    // is a usage error that names the nearest real one.
+    const xcv::api::ArgList args = xcv::api::SplitArgs(argc, argv);
+    if (args.flags.count("help") > 0) return Usage(stdout);
+    XCV_CHECK_MSG(args.operands.empty(),
+                  "unexpected argument '" << args.operands.front() << "'");
+    xcv::api::RejectUnknownFlags(
+        args.flags, {"help", "port", "state-dir", "max-jobs", "verbose",
+                     "no-job-traces", "faults"});
+    options.port =
+        static_cast<int>(xcv::api::FlagInteger(args.flags, "port", 7070, 0,
+                                               65535));
+    options.max_concurrent_jobs = static_cast<int>(xcv::api::FlagInteger(
+        args.flags, "max-jobs", options.max_concurrent_jobs, 1,
+        std::numeric_limits<int>::max()));
+    if (const auto it = args.flags.find("state-dir"); it != args.flags.end())
+      options.state_dir = it->second;
+    options.verbose = args.flags.count("verbose") > 0;
+    options.job_traces = args.flags.count("no-job-traces") == 0;
+    if (const auto it = args.flags.find("faults"); it != args.flags.end())
+      xcv::support::fault::ArmFromSpec(it->second);
+  } catch (const xcv::InternalError& e) {
+    std::fprintf(stderr, "xcvd: %s\n", e.what());
+    return Usage(stderr);
+  }
+  try {
     xcv::support::fault::ArmFromEnv();
     xcv::obs::InitMetricsFromEnv();
 
     xcv::service::Daemon daemon(options);
     daemon.Start();
     // The bound port on stdout is the one machine-read line xcvd prints:
-    // scripts that start us with --port 0 read it to find the daemon.
+    // scripts that start us with --port=0 read it to find the daemon.
     std::printf("xcvd listening on 127.0.0.1:%d\n", daemon.port());
     std::fflush(stdout);
 

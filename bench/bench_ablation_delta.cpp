@@ -5,9 +5,10 @@
 
 #include "common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xcv;
-  bench::PrintHeader(
+  const bench::BenchConfig config = bench::StartBench(
+      argc, argv,
       "Ablation — delta sweep (weakening precision vs inconclusive area)",
       "dReal delta-weakening semantics (paper Section III-B)");
 
@@ -24,8 +25,8 @@ int main() {
     const auto& f = *functionals::FindFunctional(c.functional);
     const auto& cond = *conditions::FindCondition(c.condition);
     for (double delta : deltas) {
-      auto options = bench::BenchVerifierOptions();
-      options.solver.delta = delta;
+      auto options = config.options;
+      options.verifier.solver.delta = delta;
       const auto run = bench::RunPair(f, cond, options);
       using verifier::RegionStatus;
       std::printf("%-9s %-5s %8.0e | %8s %8.2f %8.2f %8.2f %8llu\n",

@@ -12,9 +12,10 @@
 #include "expr/compile.h"
 #include "expr/eval.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xcv;
-  bench::PrintHeader(
+  const bench::BenchConfig config = bench::StartBench(
+      argc, argv,
       "Extensions — SCAN vs rSCAN (regularization) and PBE vs PBEsol",
       "paper Section VI-A future-work directions");
 
@@ -44,7 +45,7 @@ int main() {
   }
 
   // Verifier progress per condition under the same budget.
-  const auto options = bench::BenchVerifierOptions();
+  const auto& options = config.options;
   std::printf("Verifier verdicts at the bench budget:\n");
   std::printf("%-6s %10s %10s    %10s %10s\n", "cond", "SCAN", "decided%",
               "rSCAN", "decided%");

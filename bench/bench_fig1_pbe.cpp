@@ -6,15 +6,13 @@
 #include "common.h"
 #include "report/ascii_plot.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xcv;
-  bench::PrintHeader(
-      "Figure 1 — PBE: regions satisfying/violating conditions",
+  const bench::BenchConfig config = bench::StartBench(
+      argc, argv, "Figure 1 — PBE: regions satisfying/violating conditions",
       "paper Fig. 1 (panels a-f)");
 
   const auto& pbe = *functionals::FindFunctional("PBE");
-  const auto v_options = bench::BenchVerifierOptions();
-  const auto pb_options = bench::BenchPbOptions();
   const char* panels[][3] = {
       {"EC1", "a", "d"}, {"EC5", "b", "e"}, {"EC7", "c", "f"}};
 
@@ -24,14 +22,14 @@ int main() {
 
     std::printf("--- Fig. 1%s: %s with PB grid search ---\n", panel[1],
                 cond.name.c_str());
-    const auto pb = gridsearch::RunPbCheck(pbe, cond, pb_options);
+    const auto pb = gridsearch::RunPbCheck(pbe, cond, config.pb);
     std::printf("%s", report::PlotPbGrid(*pb).c_str());
     std::printf("violating grid fraction: %.4f\n\n",
                 pb->violation_fraction);
 
     std::printf("--- Fig. 1%s: %s with the verifier ---\n", panel[2],
                 cond.name.c_str());
-    const auto run = bench::RunPair(pbe, cond, v_options);
+    const auto run = bench::RunPair(pbe, cond, config.options);
     std::printf("%s", report::PlotRegions(
                           run.report, conditions::PaperDomain(pbe))
                           .c_str());

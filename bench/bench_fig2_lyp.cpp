@@ -6,15 +6,13 @@
 #include "common.h"
 #include "report/ascii_plot.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xcv;
-  bench::PrintHeader(
-      "Figure 2 — LYP: regions satisfying/violating conditions",
+  const bench::BenchConfig config = bench::StartBench(
+      argc, argv, "Figure 2 — LYP: regions satisfying/violating conditions",
       "paper Fig. 2 (panels a-f)");
 
   const auto& lyp = *functionals::FindFunctional("LYP");
-  const auto v_options = bench::BenchVerifierOptions();
-  const auto pb_options = bench::BenchPbOptions();
   const char* panels[][3] = {
       {"EC1", "a", "d"}, {"EC2", "b", "e"}, {"EC6", "c", "f"}};
 
@@ -24,7 +22,7 @@ int main() {
 
     std::printf("--- Fig. 2%s: %s with PB grid search ---\n", panel[1],
                 cond.name.c_str());
-    const auto pb = gridsearch::RunPbCheck(lyp, cond, pb_options);
+    const auto pb = gridsearch::RunPbCheck(lyp, cond, config.pb);
     std::printf("%s", report::PlotPbGrid(*pb).c_str());
     if (pb->any_violation) {
       std::printf("violations inside rs %s, s %s (%.4f of grid)\n\n",
@@ -37,7 +35,7 @@ int main() {
 
     std::printf("--- Fig. 2%s: %s with the verifier ---\n", panel[2],
                 cond.name.c_str());
-    const auto run = bench::RunPair(lyp, cond, v_options);
+    const auto run = bench::RunPair(lyp, cond, config.options);
     std::printf("%s", report::PlotRegions(
                           run.report, conditions::PaperDomain(lyp))
                           .c_str());

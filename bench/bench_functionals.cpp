@@ -9,10 +9,10 @@
 #include "expr/compile.h"
 #include "support/stopwatch.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xcv;
-  bench::PrintHeader(
-      "Functional implementation complexity and evaluation cost",
+  bench::StartBench(
+      argc, argv, "Functional implementation complexity and evaluation cost",
       "paper Section I op-count claims + encoder statistics");
 
   std::printf("%-9s %-9s %-14s %10s %10s %8s %7s %7s\n", "DFA", "family",

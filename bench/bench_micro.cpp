@@ -12,8 +12,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 
+#include "api/job_spec.h"
 #include "campaign/campaign.h"
 #include "campaign/serialize.h"
 #include "conditions/conditions.h"
@@ -486,6 +488,20 @@ void RunContractBatch(const functionals::Functional& f) {
       simd::TierName(simd::ActiveTier()), boxes_match ? 1 : 0);
 }
 
+// The lda/pbe matrix options of the campaign benches below: the paper
+// defaults with a coarser split, a 3k-node cap and no time budgets, so
+// every run computes byte-identical reports.
+campaign::CampaignOptions BudgetFreeMatrixOptions() {
+  campaign::CampaignOptions o = api::DefaultJobSpec().options;
+  o.verifier.split_threshold = 0.625;
+  o.verifier.solver.max_nodes = 3'000;
+  o.verifier.solver.time_budget_seconds =
+      std::numeric_limits<double>::infinity();
+  o.verifier.total_time_budget_seconds =
+      std::numeric_limits<double>::infinity();
+  return o;
+}
+
 // ---- Verdict-cache replay (JSON trajectory) ---------------------------------
 
 // Cold-vs-warm campaign wall time on the lda/pbe matrix (the shape the CI
@@ -505,11 +521,7 @@ void RunCacheReplay() {
     conds.push_back(*conditions::FindCondition(id));
 
   auto run = [&] {
-    campaign::CampaignOptions o;
-    o.verifier.split_threshold = 0.625;
-    o.verifier.solver.max_nodes = 3'000;
-    o.verifier.solver.max_invalid_models = 512;
-    o.num_threads = 1;
+    campaign::CampaignOptions o = BudgetFreeMatrixOptions();
     o.cache_path = path;
     campaign::Campaign c(o);
     c.AddMatrix(funcs, conds);
@@ -561,10 +573,7 @@ void RunShardMerge() {
   for (const char* id : {"EC1", "EC2", "EC3", "EC4"})
     conds.push_back(conditions::FindCondition(id));
 
-  campaign::CampaignOptions options;
-  options.verifier.split_threshold = 0.625;
-  options.verifier.solver.max_nodes = 3'000;
-  options.verifier.solver.max_invalid_models = 512;
+  const campaign::CampaignOptions options = BudgetFreeMatrixOptions();
 
   campaign::Checkpoint fresh;
   fresh.options = options;

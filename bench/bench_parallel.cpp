@@ -8,10 +8,10 @@
 
 #include "common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xcv;
-  bench::PrintHeader(
-      "Parallel domain splitting — thread sweep on the shared scheduler",
+  const bench::BenchConfig config = bench::StartBench(
+      argc, argv, "Parallel domain splitting — thread sweep on the shared scheduler",
       "Algorithm 1 parallelization (this repo's HPC extension)");
 
   const auto& pbe = *functionals::FindFunctional("PBE");
@@ -21,11 +21,11 @@ int main() {
               "calls", "seconds");
   double base_seconds = 0.0;
   for (int threads : {1, 2, 4, 8}) {
-    auto options = bench::BenchVerifierOptions();
+    auto options = config.options;
     options.num_threads = threads;
+    options.verifier.num_threads = threads;
     // Generous busy-time budget: measure the full recursion at this budget.
-    options.total_time_budget_seconds =
-        bench::EnvOr("XCV_PAIR_SECONDS", 10.0) * 2.0;
+    options.verifier.total_time_budget_seconds *= 2.0;
     const auto run = bench::RunPair(pbe, cond, options);
     if (threads == 1) base_seconds = run.seconds;
     std::printf("%-8d %10s %10zu %10llu %9.2f (%.2fx)\n", threads,

@@ -8,19 +8,17 @@
 #include "report/consistency.h"
 #include "report/tables.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xcv;
-  bench::PrintHeader(
-      "Table II — PB grid search vs verifier consistency",
+  const bench::BenchConfig config = bench::StartBench(
+      argc, argv, "Table II — PB grid search vs verifier consistency",
       "paper Table II (Section IV-C)");
 
-  const auto v_options = bench::BenchVerifierOptions();
-  const auto pb_options = bench::BenchPbOptions();
   const auto& functionals = functionals::PaperFunctionals();
   const auto& conditions = conditions::AllConditions();
 
-  const auto runs = bench::RunMatrix(functionals, conditions, v_options,
-                                     bench::BenchNumThreads(), "table2");
+  const auto runs =
+      bench::RunMatrix(functionals, conditions, config.options, "table2");
 
   std::vector<std::string> rows, cols;
   for (const auto& f : functionals) cols.push_back(f.name);
@@ -34,7 +32,7 @@ int main() {
                    conditions[r].short_id.c_str(),
                    functionals[c].name.c_str());
       const auto pb =
-          gridsearch::RunPbCheck(functionals[c], conditions[r], pb_options);
+          gridsearch::RunPbCheck(functionals[c], conditions[r], config.pb);
       cells.back().push_back(report::Compare(pb, runs[r][c].report));
     }
   }

@@ -5,60 +5,49 @@
 #include <cstdlib>
 #include <limits>
 
+#include "api/job_spec.h"
+#include "support/check.h"
+
 namespace xcv::bench {
 
-double EnvOr(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || std::isnan(parsed) || parsed < 0.0) return fallback;
-  return parsed;
-}
-
-double EnvOrPositive(const char* name, double fallback) {
-  const double v = EnvOr(name, fallback);
-  return v > 0.0 ? v : fallback;
-}
-
-verifier::VerifierOptions BenchVerifierOptions() {
-  verifier::VerifierOptions o;
-  o.split_threshold = EnvOrPositive("XCV_SPLIT_THRESHOLD", 0.3125);
-  o.solver.max_nodes =
-      static_cast<std::uint64_t>(EnvOrPositive("XCV_SOLVER_NODES", 30'000));
-  o.solver.delta = 1e-3;
-  o.solver.time_budget_seconds = 0.5;
-  o.solver.max_invalid_models = 512;
-  o.solver.wave_width =
-      static_cast<int>(EnvOrPositive("XCV_WAVE_WIDTH", 64));
-  const double budget = EnvOr("XCV_PAIR_SECONDS", 10.0);
-  o.total_time_budget_seconds =
-      budget > 0.0 ? budget : std::numeric_limits<double>::infinity();
-  return o;
-}
-
-gridsearch::PbOptions BenchPbOptions() {
-  gridsearch::PbOptions o;
-  const auto n = static_cast<std::size_t>(EnvOrPositive("XCV_PB_GRID", 150));
-  o.n_rs = n;
-  o.n_s = n;
-  o.n_alpha = 9;
-  return o;
-}
-
-int BenchNumThreads() {
-  return static_cast<int>(EnvOrPositive("XCV_THREADS", 1));
+BenchConfig StartBench(int argc, char** argv, const std::string& title,
+                       const std::string& paper_ref) {
+  BenchConfig config;
+  try {
+    const api::ArgList args = api::SplitArgs(argc, argv);
+    XCV_CHECK_MSG(args.operands.empty(),
+                  "unexpected argument '" << args.operands.front() << "'");
+    api::JobSpec spec = api::DefaultJobSpec();
+    api::ApplyFlags(args.flags, spec, {"pb-grid"});
+    api::ValidateJobSpec(spec);
+    config.options = spec.options;
+    const auto n = static_cast<std::size_t>(api::FlagInteger(
+        args.flags, "pb-grid", 150, 1, std::numeric_limits<int>::max()));
+    config.pb.n_rs = n;
+    config.pb.n_s = n;
+    config.pb.n_alpha = 9;
+  } catch (const InternalError& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    std::exit(2);
+  }
+  const verifier::VerifierOptions& v = config.options.verifier;
+  std::printf("==============================================================\n");
+  std::printf("%s\n", title.c_str());
+  std::printf("Reproduces: %s\n", paper_ref.c_str());
+  // 0 = unlimited, the --budget-seconds convention.
+  std::printf("Budget: %.0fs/pair, threshold t=%.4g, %llu-node solver calls, "
+              "%d thread(s)\n",
+              std::isinf(v.total_time_budget_seconds)
+                  ? 0.0
+                  : v.total_time_budget_seconds,
+              v.split_threshold,
+              static_cast<unsigned long long>(v.solver.max_nodes),
+              config.options.num_threads);
+  std::printf("==============================================================\n\n");
+  return config;
 }
 
 namespace {
-
-// Benchmarks honour the same XCV_CACHE variable as the xcv CLI: point it at
-// a verdict-cache file to replay previously decided boxes (reports are
-// byte-identical either way; only the wall time changes).
-std::string EnvCachePath() {
-  const char* value = std::getenv("XCV_CACHE");
-  return value != nullptr ? value : "";
-}
 
 PairRun ToPairRun(campaign::PairState state) {
   PairRun run;
@@ -73,12 +62,8 @@ PairRun ToPairRun(campaign::PairState state) {
 
 PairRun RunPair(const functionals::Functional& f,
                 const conditions::ConditionInfo& cond,
-                const verifier::VerifierOptions& options) {
-  campaign::CampaignOptions copts;
-  copts.verifier = options;
-  copts.num_threads = options.num_threads;
-  copts.cache_path = EnvCachePath();
-  campaign::Campaign c(copts);
+                const campaign::CampaignOptions& options) {
+  campaign::Campaign c(options);
   c.Add(f, cond);
   campaign::CampaignResult result = c.Run();
   PairRun run = ToPairRun(std::move(result.pairs.at(0)));
@@ -91,13 +76,8 @@ PairRun RunPair(const functionals::Functional& f,
 std::vector<std::vector<PairRun>> RunMatrix(
     const std::vector<functionals::Functional>& functionals,
     const std::vector<conditions::ConditionInfo>& conditions,
-    const verifier::VerifierOptions& options, int num_threads,
-    const char* progress_tag) {
-  campaign::CampaignOptions copts;
-  copts.verifier = options;
-  copts.num_threads = num_threads;
-  copts.cache_path = EnvCachePath();
-  campaign::Campaign c(copts);
+    const campaign::CampaignOptions& options, const char* progress_tag) {
+  campaign::Campaign c(options);
   c.AddMatrix(functionals, conditions);
   campaign::CampaignResult result = c.Run(
       [progress_tag](const campaign::PairState& p, std::size_t completed,
@@ -117,19 +97,6 @@ std::vector<std::vector<PairRun>> RunMatrix(
       runs.back().push_back(ToPairRun(std::move(result.pairs.at(flat++))));
   }
   return runs;
-}
-
-void PrintHeader(const std::string& title, const std::string& paper_ref) {
-  std::printf("==============================================================\n");
-  std::printf("%s\n", title.c_str());
-  std::printf("Reproduces: %s\n", paper_ref.c_str());
-  std::printf("Budget: %.0fs/pair, threshold t=%.4g, %d-node solver calls, "
-              "%d thread(s)\n",
-              EnvOr("XCV_PAIR_SECONDS", 10.0),
-              EnvOrPositive("XCV_SPLIT_THRESHOLD", 0.3125),
-              static_cast<int>(EnvOrPositive("XCV_SOLVER_NODES", 30'000)),
-              BenchNumThreads());
-  std::printf("==============================================================\n\n");
 }
 
 }  // namespace xcv::bench

@@ -79,7 +79,10 @@ void ValidateJobSpec(const JobSpec& spec) {
 
   const CampaignOptions& o = spec.options;
   const verifier::VerifierOptions& v = o.verifier;
-  XCV_CHECK_MSG(o.num_threads >= 1, "job spec: threads must be at least 1");
+  XCV_CHECK_MSG(o.num_threads >= 1 && o.num_threads <= kMaxJobThreads,
+                "job spec: threads must be in [1, " << kMaxJobThreads
+                                                    << "], got "
+                                                    << o.num_threads);
   XCV_CHECK_MSG(v.split_threshold > 0.0 && std::isfinite(v.split_threshold),
                 "job spec: split_threshold must be a positive number");
   XCV_CHECK_MSG(NonNegativeFinite(v.total_time_budget_seconds) ||
@@ -119,19 +122,68 @@ void ValidateJobSpec(const JobSpec& spec) {
 
 // ---- Flags ------------------------------------------------------------------
 
-namespace {
+ArgList SplitArgs(int argc, const char* const* argv,
+                  const std::vector<std::string>& list_keys) {
+  ArgList args;
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (!StartsWith(arg, "--")) {
+      args.operands.push_back(std::move(arg));
+      continue;
+    }
+    std::string key = arg.substr(2), value = "true";
+    if (const auto eq = key.find('='); eq != std::string::npos) {
+      value = key.substr(eq + 1);
+      key.resize(eq);
+    }
+    const auto it = args.flags.find(key);
+    if (it != args.flags.end() &&
+        std::find(list_keys.begin(), list_keys.end(), key) != list_keys.end())
+      value = it->second + "," + value;
+    args.flags[key] = std::move(value);
+  }
+  return args;
+}
 
-double FlagDouble(const std::map<std::string, std::string>& flags,
-                  const std::string& key, double fallback) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
+double ParseFlagNumber(const std::string& text, const std::string& field) {
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  XCV_CHECK_MSG(end != it->second.c_str() && *end == '\0' && v >= 0.0,
-                "--" << key << " needs a non-negative number, got '"
-                     << it->second << "'");
+  const double v = std::strtod(text.c_str(), &end);
+  XCV_CHECK_MSG(end != text.c_str() && *end == '\0' && v >= 0.0,
+                field << " needs a non-negative number, got '" << text
+                      << "'");
   return v;
 }
+
+double FlagNumber(const FlagMap& flags, const std::string& key,
+                  double fallback) {
+  const auto it = flags.find(key);
+  return it == flags.end() ? fallback
+                           : ParseFlagNumber(it->second, "--" + key);
+}
+
+long long CheckedInteger(double value, const std::string& field, long long lo,
+                         long long hi) {
+  XCV_CHECK_MSG(value >= static_cast<double>(lo) &&
+                    value <= static_cast<double>(hi) &&
+                    value == std::floor(value),
+                field << " must be an integer in [" << lo << ", " << hi
+                      << "], got " << value);
+  return static_cast<long long>(value);
+}
+
+long long FlagInteger(const FlagMap& flags, const std::string& key,
+                      long long fallback, long long lo, long long hi) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  return CheckedInteger(ParseFlagNumber(it->second, "--" + key), "--" + key,
+                        lo, hi);
+}
+
+namespace {
+
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+constexpr long long kIntMin = std::numeric_limits<int>::min();
+constexpr long long kMaxExactInteger = 1LL << 53;
 
 // The keys ApplyFlags itself consumes. Kept adjacent to the consuming code
 // below — a new `flags.find` there must be mirrored here or the strictness
@@ -179,72 +231,61 @@ std::size_t SharedTokenLen(const std::string& a, const std::string& b) {
   return best;
 }
 
-/// Usage-error gate: every key must be one ApplyFlags consumes or one the
-/// calling command declared. The error names the flag and suggests the
-/// nearest recognized one — scored by edit distance with a bonus for a
-/// shared whole token, so `--max-nodes` suggests `--solver-nodes` (shared
-/// "nodes") rather than the edit-closer `--max-retries`.
-void RejectUnknownKeys(const std::map<std::string, std::string>& flags,
-                       const std::vector<std::string>& extra_allowed) {
-  std::vector<std::string> known(std::begin(kSpecFlagKeys),
-                                 std::end(kSpecFlagKeys));
-  known.insert(known.end(), extra_allowed.begin(), extra_allowed.end());
+}  // namespace
+
+void RejectUnknownFlags(const FlagMap& flags,
+                        const std::vector<std::string>& known) {
   for (const auto& [key, value] : flags) {
     if (std::find(known.begin(), known.end(), key) != known.end()) continue;
     std::string best;
     long best_score = 0;
-    bool have_best = false;
     for (const std::string& k : known) {
       const long score = static_cast<long>(EditDistance(key, k)) -
                          2 * static_cast<long>(SharedTokenLen(key, k));
-      if (!have_best || score < best_score) {
-        have_best = true;
+      if (best.empty() || score < best_score) {
         best_score = score;
         best = k;
       }
     }
     std::string hint;
     const bool close =
-        have_best &&
+        !best.empty() &&
         (SharedTokenLen(key, best) > 0 ||
          EditDistance(key, best) <=
              std::max<std::size_t>(best.size(), key.size()) / 2);
     if (close) hint = " (did you mean --" + best + "?)";
-    XCV_CHECK_MSG(false, "unknown flag --" << key << hint
-                             << "; see `xcv help` for the flag list");
+    XCV_CHECK_MSG(false, "unknown flag --" << key << hint);
   }
 }
 
-}  // namespace
-
-void ApplyFlags(const std::map<std::string, std::string>& flags,
-                JobSpec& spec, const std::vector<std::string>& extra_allowed) {
-  RejectUnknownKeys(flags, extra_allowed);
+void ApplyFlags(const FlagMap& flags, JobSpec& spec,
+                const std::vector<std::string>& extra_allowed) {
+  std::vector<std::string> known(std::begin(kSpecFlagKeys),
+                                 std::end(kSpecFlagKeys));
+  known.insert(known.end(), extra_allowed.begin(), extra_allowed.end());
+  RejectUnknownFlags(flags, known);
   CampaignOptions& o = spec.options;
   if (const auto it = flags.find("functionals"); it != flags.end())
     spec.functionals = it->second;
   if (const auto it = flags.find("conditions"); it != flags.end())
     spec.conditions = it->second;
-  o.num_threads = static_cast<int>(FlagDouble(flags, "threads",
-                                              o.num_threads));
-  XCV_CHECK_MSG(o.num_threads >= 1, "--threads must be at least 1");
-  const double budget = FlagDouble(flags, "budget-seconds",
+  o.num_threads = static_cast<int>(
+      FlagInteger(flags, "threads", o.num_threads, 1, kMaxJobThreads));
+  const double budget = FlagNumber(flags, "budget-seconds",
                                    o.verifier.total_time_budget_seconds);
   // 0 means unlimited on the command line.
   o.verifier.total_time_budget_seconds =
       budget > 0.0 ? budget : std::numeric_limits<double>::infinity();
   o.verifier.split_threshold =
-      FlagDouble(flags, "split-threshold", o.verifier.split_threshold);
+      FlagNumber(flags, "split-threshold", o.verifier.split_threshold);
   o.verifier.solver.max_nodes = static_cast<std::uint64_t>(
-      FlagDouble(flags, "solver-nodes",
-                 static_cast<double>(o.verifier.solver.max_nodes)));
-  o.verifier.solver.delta = FlagDouble(flags, "delta",
+      FlagInteger(flags, "solver-nodes",
+                  static_cast<long long>(o.verifier.solver.max_nodes), 1,
+                  kMaxExactInteger));
+  o.verifier.solver.delta = FlagNumber(flags, "delta",
                                        o.verifier.solver.delta);
-  o.verifier.solver.wave_width = static_cast<int>(
-      FlagDouble(flags, "wave-width",
-                 static_cast<double>(o.verifier.solver.wave_width)));
-  XCV_CHECK_MSG(o.verifier.solver.wave_width >= 1,
-                "--wave-width must be at least 1");
+  o.verifier.solver.wave_width = static_cast<int>(FlagInteger(
+      flags, "wave-width", o.verifier.solver.wave_width, 1, kIntMax));
   if (const auto it = flags.find("frontier"); it != flags.end())
     o.verifier.frontier = campaign::FrontierFromToken(ToLower(it->second));
   if (const auto it = flags.find("checkpoint"); it != flags.end())
@@ -269,18 +310,14 @@ void ApplyFlags(const std::map<std::string, std::string>& flags,
     spec.tenant = it->second;
 
   support::retry::RuntimeAttrs& r = spec.runtime;
-  r.max_retries =
-      static_cast<int>(FlagDouble(flags, "max-retries", r.max_retries));
+  r.max_retries = static_cast<int>(
+      FlagInteger(flags, "max-retries", r.max_retries, 0, kIntMax));
   r.preemptible_tries = static_cast<int>(
-      FlagDouble(flags, "preemptible", r.preemptible_tries));
+      FlagInteger(flags, "preemptible", r.preemptible_tries, 0, kIntMax));
   r.quarantine_after = static_cast<int>(
-      FlagDouble(flags, "quarantine-after", r.quarantine_after));
+      FlagInteger(flags, "quarantine-after", r.quarantine_after, 1, kIntMax));
   r.launch_timeout_s =
-      FlagDouble(flags, "launch-timeout", r.launch_timeout_s);
-  XCV_CHECK_MSG(r.max_retries >= 0 && r.preemptible_tries >= 0 &&
-                    r.quarantine_after >= 1,
-                "--max-retries/--preemptible must be >= 0 and "
-                "--quarantine-after >= 1");
+      FlagNumber(flags, "launch-timeout", r.launch_timeout_s);
 }
 
 // ---- JSON -------------------------------------------------------------------
@@ -366,6 +403,19 @@ std::string WriteJobSpecJson(const JobSpec& spec) {
   return out;
 }
 
+namespace {
+
+/// Reads integer field `key` of `obj` into `out` when present. The reader
+/// enforces integrality and the int range; ValidateJobSpec then checks the
+/// field's own range.
+void ReadIntField(const JsonValue& obj, const char* key, int& out) {
+  if (const JsonValue* x = obj.Find(key))
+    out = static_cast<int>(CheckedInteger(
+        x->AsDouble(), std::string("job spec: ") + key, kIntMin, kIntMax));
+}
+
+}  // namespace
+
 JobSpec JobSpecFromJson(const JsonValue& root) {
   if (const JsonValue* fmt = root.Find("format"))
     XCV_CHECK_MSG(fmt->AsString() == "xcv-job-spec",
@@ -384,8 +434,7 @@ JobSpec JobSpecFromJson(const JsonValue& root) {
     spec.output = OutputModeFromToken(m->AsString());
   if (const JsonValue* q = root.Find("quiet")) spec.quiet = q->AsBool();
   if (const JsonValue* t = root.Find("tenant")) spec.tenant = t->AsString();
-  if (const JsonValue* t = root.Find("threads"))
-    o.num_threads = static_cast<int>(t->AsDouble());
+  ReadIntField(root, "threads", o.num_threads);
   if (const JsonValue* t = root.Find("tune_lda_delta"))
     o.tune_lda_delta = t->AsBool();
   if (const JsonValue* c = root.Find("checkpoint"))
@@ -413,38 +462,29 @@ JobSpec JobSpecFromJson(const JsonValue& root) {
   }
   if (const JsonValue* so = root.Find("solver")) {
     if (const JsonValue* x = so->Find("delta")) v.solver.delta = x->AsDouble();
-    if (const JsonValue* x = so->Find("max_nodes")) {
-      XCV_CHECK_MSG(x->AsDouble() >= 0.0,
-                    "job spec: solver max_nodes must be non-negative");
-      v.solver.max_nodes = static_cast<std::uint64_t>(x->AsDouble());
-    }
+    if (const JsonValue* x = so->Find("max_nodes"))
+      v.solver.max_nodes = static_cast<std::uint64_t>(CheckedInteger(
+          x->AsDouble(), "job spec: max_nodes", 0, kMaxExactInteger));
     if (const JsonValue* x = so->Find("time_budget_seconds"))
       v.solver.time_budget_seconds = x->AsDouble();
-    if (const JsonValue* x = so->Find("contraction_rounds"))
-      v.solver.contraction_rounds = static_cast<int>(x->AsDouble());
-    if (const JsonValue* x = so->Find("max_invalid_models"))
-      v.solver.max_invalid_models = static_cast<int>(x->AsDouble());
-    if (const JsonValue* x = so->Find("presample_points"))
-      v.solver.presample_points = static_cast<int>(x->AsDouble());
-    if (const JsonValue* x = so->Find("wave_width"))
-      v.solver.wave_width = static_cast<int>(x->AsDouble());
+    ReadIntField(*so, "contraction_rounds", v.solver.contraction_rounds);
+    ReadIntField(*so, "max_invalid_models", v.solver.max_invalid_models);
+    ReadIntField(*so, "presample_points", v.solver.presample_points);
+    ReadIntField(*so, "wave_width", v.solver.wave_width);
   }
   if (const JsonValue* ro = root.Find("runtime")) {
     support::retry::RuntimeAttrs& r = spec.runtime;
-    if (const JsonValue* x = ro->Find("max_retries"))
-      r.max_retries = static_cast<int>(x->AsDouble());
-    if (const JsonValue* x = ro->Find("preemptible_tries"))
-      r.preemptible_tries = static_cast<int>(x->AsDouble());
+    ReadIntField(*ro, "max_retries", r.max_retries);
+    ReadIntField(*ro, "preemptible_tries", r.preemptible_tries);
     if (const JsonValue* x = ro->Find("launch_timeout_seconds"))
       r.launch_timeout_s = x->AsDouble();
     if (const JsonValue* x = ro->Find("backoff_initial_seconds"))
       r.backoff_initial_s = x->AsDouble();
     if (const JsonValue* x = ro->Find("backoff_max_seconds"))
       r.backoff_max_s = x->AsDouble();
-    if (const JsonValue* x = ro->Find("quarantine_after"))
-      r.quarantine_after = static_cast<int>(x->AsDouble());
-    if (const JsonValue* x = ro->Find("quarantine_cooldown_epochs"))
-      r.quarantine_cooldown_epochs = static_cast<int>(x->AsDouble());
+    ReadIntField(*ro, "quarantine_after", r.quarantine_after);
+    ReadIntField(*ro, "quarantine_cooldown_epochs",
+                 r.quarantine_cooldown_epochs);
   }
   v.num_threads = std::max(1, o.num_threads);
   ValidateJobSpec(spec);

@@ -89,9 +89,16 @@ struct JobSpec {
   std::string tenant;
 };
 
-/// The paper-default job: the CLI's historical defaults (delta 1e-3,
-/// 30k-node solver budget, 10 s per pair, split threshold 0.3125).
+/// The paper-default job: the one defaults object every surface (`xcv`,
+/// `xcvd` job specs, the bench binaries, the examples) starts from and
+/// overrides — delta 1e-3, 30k-node solver calls of at most 0.5 s, 512
+/// invalid models, 10 s per pair, split threshold 0.3125.
 JobSpec DefaultJobSpec();
+
+/// Upper bound on a job's worker threads. Every job shares the process
+/// pool (ThreadPool::Global grows to the largest request), so an unbounded
+/// count would let one request start that many OS threads.
+inline constexpr int kMaxJobThreads = 256;
 
 /// The single validation path: selector strings resolve to a non-empty
 /// matrix, budgets are non-negative, counts are in range. Throws
@@ -100,20 +107,58 @@ JobSpec DefaultJobSpec();
 /// campaign is built.
 void ValidateJobSpec(const JobSpec& spec);
 
-/// Applies `--key=value` style flags over `spec` (the CLI's option
-/// assembly, reusable by anything that speaks that dialect). Recognized
-/// keys: functionals, conditions, threads, budget-seconds (0 = unlimited),
-/// split-threshold, solver-nodes, delta, wave-width, frontier, checkpoint,
-/// cache (XCV_CACHE env supplies the default), cache-readonly, format,
-/// quiet, max-retries, preemptible, quarantine-after, launch-timeout,
-/// tenant. Unrecognized keys are a usage error: the throw names the flag
-/// and suggests the nearest recognized one (so `--max-nodes` points at
-/// `--solver-nodes`). `extra_allowed` lists additional keys the calling
-/// command consumes itself (e.g. resume's `heartbeat`) — they pass the
-/// strictness check untouched. Throws xcv::InternalError on malformed
-/// values.
-void ApplyFlags(const std::map<std::string, std::string>& flags,
-                JobSpec& spec,
+// ---- The flag dialect -------------------------------------------------------
+
+using FlagMap = std::map<std::string, std::string>;
+
+/// argv split into `--key=value` flags and operands — the one argv parser
+/// behind `xcv`, `xcvd` and the bench binaries. A bare `--key` means
+/// "true"; a repeated key keeps its last value unless it is listed in
+/// `list_keys`, whose repeats join into one comma list. Every argument not
+/// starting with "--" is an operand, in order.
+struct ArgList {
+  FlagMap flags;
+  std::vector<std::string> operands;
+};
+ArgList SplitArgs(int argc, const char* const* argv,
+                  const std::vector<std::string>& list_keys = {});
+
+/// The one number reader for flag values: the whole of `text` must be a
+/// non-negative number. Throws xcv::InternalError naming `field`.
+double ParseFlagNumber(const std::string& text, const std::string& field);
+
+/// ParseFlagNumber of `--key`'s value, or `fallback` when it is absent.
+double FlagNumber(const FlagMap& flags, const std::string& key,
+                  double fallback);
+
+/// The one integer check, shared by flags and JSON: `value` must be
+/// integral and within [lo, hi] (hi at most 2^53, where doubles stop being
+/// exact). Throws xcv::InternalError naming `field` — no silent truncation
+/// of 2.7 to 2, no undefined cast of 1e30.
+long long CheckedInteger(double value, const std::string& field, long long lo,
+                         long long hi);
+
+/// ParseFlagNumber + CheckedInteger of `--key`'s value, or `fallback` when
+/// it is absent.
+long long FlagInteger(const FlagMap& flags, const std::string& key,
+                      long long fallback, long long lo, long long hi);
+
+/// Usage-error gate: every key must be in `known`. The throw names the flag
+/// and suggests the nearest known one — scored by edit distance with a
+/// bonus for a shared whole '-'-token, so `--max-nodes` points at
+/// `--solver-nodes` rather than the edit-closer `--max-retries`.
+void RejectUnknownFlags(const FlagMap& flags,
+                        const std::vector<std::string>& known);
+
+/// Applies `--key=value` flags over `spec`. Recognized keys: functionals,
+/// conditions, threads, budget-seconds (0 = unlimited), split-threshold,
+/// solver-nodes, delta, wave-width, frontier, checkpoint, cache (XCV_CACHE
+/// env supplies the default), cache-readonly, format, quiet, max-retries,
+/// preemptible, quarantine-after, launch-timeout, tenant. Any other key is
+/// a usage error (RejectUnknownFlags) unless `extra_allowed` lists it — the
+/// keys the calling command consumes itself (e.g. resume's `heartbeat`).
+/// Throws xcv::InternalError on malformed values.
+void ApplyFlags(const FlagMap& flags, JobSpec& spec,
                 const std::vector<std::string>& extra_allowed = {});
 
 /// Serializes the complete spec as a standalone JSON document

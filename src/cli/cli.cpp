@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <system_error>
@@ -45,6 +46,8 @@ using campaign::PairState;
 using conditions::ConditionInfo;
 using functionals::Functional;
 
+// A printf format: the bracketed verify/resume defaults are filled in from
+// api::DefaultJobSpec() by UsageText, so the help cannot drift from them.
 constexpr const char* kUsage = R"(xcv — exact-condition verification campaigns
 
 Usage:
@@ -71,16 +74,16 @@ Options (verify/resume):
                        mgga) or "all" (the five paper DFAs).      [all]
   --conditions=SPEC    Comma list of conditions, ranges (EC1..EC4) or "all".
                                                                   [all]
-  --threads=N          Worker cap on the shared scheduler.        [1]
-  --budget-seconds=S   Processing-time budget per pair; 0 = unlimited. [10]
-  --split-threshold=T  Algorithm 1 split threshold t.             [0.3125]
-  --solver-nodes=N     Per-solver-call node budget.               [30000]
-  --delta=D            Solver precision delta.                    [0.001]
+  --threads=N          Worker cap on the shared scheduler.        [%d]
+  --budget-seconds=S   Processing-time budget per pair; 0 = unlimited. [%g]
+  --split-threshold=T  Algorithm 1 split threshold t.             [%g]
+  --solver-nodes=N     Per-solver-call node budget.               [%llu]
+  --delta=D            Solver precision delta.                    [%g]
   --wave-width=K       Cap on the boxes per batched interval sweep in
                        the solver: each solver call starts at 8 lanes and
                        doubles per wave up to K (1 = scalar; results are
                        identical at any width, only the speed changes).
-                                                                  [64]
+                                                                  [%d]
   --frontier=S         Frontier order: widest | suspect | fifo.   [widest]
   --checkpoint=PATH    Write checkpoints here (after every completed pair,
                        on Ctrl-C, and at the end); resume reads it.
@@ -201,6 +204,18 @@ fault crash, 126/127 node launch failure (cannot exec), 130 cancelled
 (checkpoint saved).
 )";
 
+std::string UsageText() {
+  const api::JobSpec d = api::DefaultJobSpec();
+  const verifier::VerifierOptions& v = d.options.verifier;
+  std::string text(std::strlen(kUsage) + 256, '\0');
+  text.resize(static_cast<std::size_t>(std::snprintf(
+      text.data(), text.size(), kUsage, d.options.num_threads,
+      v.total_time_budget_seconds, v.split_threshold,
+      static_cast<unsigned long long>(v.solver.max_nodes), v.solver.delta,
+      v.solver.wave_width)));
+  return text;
+}
+
 // Signal handler target: only an atomic flag is touched in the handler.
 Campaign* volatile g_campaign = nullptr;
 
@@ -211,47 +226,37 @@ void HandleSignal(int) {
 
 struct ParsedArgs {
   std::string command;
-  std::map<std::string, std::string> flags;
-  /// Non-flag arguments after the command (merge's shard files,
-  /// cache-stats' cache file). Commands that take none reject them.
+  api::FlagMap flags;
+  /// Operands after the command (merge's shard files, cache-stats' cache
+  /// file). Commands that take none reject them.
   std::vector<std::string> positionals;
 };
 
 std::optional<ParsedArgs> ParseArgs(int argc, const char* const* argv) {
+  api::ArgList split = api::SplitArgs(argc, argv);
+  // For merge, --cache accumulates: repeated flags build the same comma
+  // list as --cache=a.json,b.json, so per-node cache files can be listed
+  // one flag at a time. Everywhere else the last flag wins.
+  if (!split.operands.empty() && split.operands.front() == "merge")
+    split = api::SplitArgs(argc, argv, {"cache"});
   ParsedArgs args;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (StartsWith(arg, "--")) {
-      std::string key = arg.substr(2), value = "true";
-      const auto eq = key.find('=');
-      if (eq != std::string::npos) {
-        value = key.substr(eq + 1);
-        key = key.substr(0, eq);
-      }
-      // For merge, --cache accumulates: repeated flags build the same comma
-      // list as --cache=a.json,b.json, so per-node cache files can be
-      // listed one flag at a time. Everywhere else the usual last-flag-wins
-      // applies (verify/resume take exactly one cache path).
-      if (key == "cache" && args.command == "merge" &&
-          args.flags.count(key) > 0)
-        value = args.flags[key] + "," + value;
-      args.flags[key] = value;
-    } else if (arg == "-o" && args.command == "merge") {
-      // Merge's one short flag, spelled like every other merge/diff tool;
-      // --out=PATH is the long form. Other commands treat -o as the stray
-      // argument it is.
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "xcv: -o needs a path argument\n");
-        return std::nullopt;
-      }
-      args.flags["out"] = argv[++i];
-    } else if (args.command.empty()) {
-      args.command = arg;
-    } else {
-      args.positionals.push_back(std::move(arg));
+  args.flags = std::move(split.flags);
+  const std::vector<std::string>& ops = split.operands;
+  args.command = ops.empty() ? "help" : ops.front();
+  for (std::size_t i = 1; i < ops.size(); ++i) {
+    if (ops[i] != "-o" || args.command != "merge") {
+      args.positionals.push_back(ops[i]);
+      continue;
     }
+    // Merge's one short flag, spelled like every other merge/diff tool;
+    // --out=PATH is the long form. Other commands treat -o as the stray
+    // argument it is.
+    if (i + 1 >= ops.size()) {
+      std::fprintf(stderr, "xcv: -o needs a path argument\n");
+      return std::nullopt;
+    }
+    args.flags["out"] = ops[++i];
   }
-  if (args.command.empty()) args.command = "help";
   return args;
 }
 
@@ -264,17 +269,7 @@ bool RejectPositionals(const ParsedArgs& args) {
   return true;
 }
 
-double FlagDouble(const ParsedArgs& args, const std::string& key,
-                  double fallback) {
-  const auto it = args.flags.find(key);
-  if (it == args.flags.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  XCV_CHECK_MSG(end != it->second.c_str() && *end == '\0' && v >= 0.0,
-                "--" << key << " needs a non-negative number, got '"
-                     << it->second << "'");
-  return v;
-}
+constexpr long long kIntMax = std::numeric_limits<int>::max();
 
 /// Flags every command accepts on top of api::ApplyFlags' spec keys:
 /// process-wide fault arming (Main) and trace capture (TraceSession).
@@ -526,8 +521,8 @@ SeededCampaign CheckpointFromFlagsOrFile(
 int CmdShard(const ParsedArgs& args) {
   if (RejectPositionals(args)) return 2;
   shard::PartitionOptions popts;
-  popts.shards = static_cast<int>(FlagDouble(args, "shards", 2));
-  XCV_CHECK_MSG(popts.shards >= 1, "--shards must be at least 1");
+  popts.shards =
+      static_cast<int>(api::FlagInteger(args.flags, "shards", 2, 1, kIntMax));
   if (const auto it = args.flags.find("by"); it != args.flags.end())
     popts.by = shard::ShardByFromToken(ToLower(it->second));
   popts.rebase_provenance = args.flags.count("rebalance") > 0;
@@ -594,15 +589,17 @@ int CmdShard(const ParsedArgs& args) {
 int CmdCoordinate(const ParsedArgs& args) {
   if (RejectPositionals(args)) return 2;
   shard::CoordinatorOptions copts;
-  copts.shards = static_cast<int>(FlagDouble(args, "shards", 2));
+  copts.shards =
+      static_cast<int>(api::FlagInteger(args.flags, "shards", 2, 1, kIntMax));
   if (const auto it = args.flags.find("by"); it != args.flags.end())
     copts.by = shard::ShardByFromToken(ToLower(it->second));
   copts.work_dir = args.flags.count("work-dir") ? args.flags.at("work-dir")
                                                 : "xcv-coordinate";
-  copts.epoch_seconds = FlagDouble(args, "rebalance-epoch", 0.0);
-  copts.lease_seconds = FlagDouble(args, "lease", copts.lease_seconds);
-  copts.max_epochs =
-      static_cast<int>(FlagDouble(args, "max-epochs", copts.max_epochs));
+  copts.epoch_seconds = api::FlagNumber(args.flags, "rebalance-epoch", 0.0);
+  copts.lease_seconds =
+      api::FlagNumber(args.flags, "lease", copts.lease_seconds);
+  copts.max_epochs = static_cast<int>(
+      api::FlagInteger(args.flags, "max-epochs", copts.max_epochs, 0, kIntMax));
   if (const auto it = args.flags.find("nodes"); it != args.flags.end()) {
     copts.ssh_hosts = SplitCommas(it->second);
     XCV_CHECK_MSG(!copts.ssh_hosts.empty(),
@@ -618,18 +615,21 @@ int CmdCoordinate(const ParsedArgs& args) {
   if (const auto it = args.flags.find("kill-node"); it != args.flags.end()) {
     const std::string& v = it->second;
     const auto at = v.find('@');
-    copts.kill_node = std::atoi(v.c_str());
+    copts.kill_node = static_cast<int>(api::CheckedInteger(
+        api::ParseFlagNumber(v.substr(0, at), "--kill-node K"),
+        "--kill-node K", 0, kIntMax));
     if (at != std::string::npos)
-      copts.kill_after_seconds = std::strtod(v.c_str() + at + 1, nullptr);
-    XCV_CHECK_MSG(copts.kill_node >= 0 && copts.kill_after_seconds >= 0.0,
-                  "--kill-node needs K@SECONDS, got '" << v << "'");
+      copts.kill_after_seconds =
+          api::ParseFlagNumber(v.substr(at + 1), "--kill-node S");
   }
   if (const auto it = args.flags.find("fault-node"); it != args.flags.end()) {
     const std::string& v = it->second;
     const auto colon = v.find(':');
     XCV_CHECK_MSG(colon != std::string::npos && colon > 0,
                   "--fault-node needs K:FAULT_SPEC, got '" << v << "'");
-    copts.fault_node = std::atoi(v.substr(0, colon).c_str());
+    copts.fault_node = static_cast<int>(api::CheckedInteger(
+        api::ParseFlagNumber(v.substr(0, colon), "--fault-node K"),
+        "--fault-node K", 0, kIntMax));
     copts.fault_spec = v.substr(colon + 1);
     // Validate the spec here, in the coordinator's process, so a typo is a
     // usage error now rather than K crashed children later. The arming is
@@ -890,16 +890,6 @@ int CmdInfo(const ParsedArgs& args) {
 
 }  // namespace
 
-// The selector grammars live in the API layer now (src/api/job_spec.cpp);
-// these aliases keep the CLI's public surface stable.
-std::vector<const ConditionInfo*> ParseConditionList(const std::string& spec) {
-  return api::ParseConditionList(spec);
-}
-
-std::vector<const Functional*> ParseFunctionalList(const std::string& spec) {
-  return api::ParseFunctionalList(spec);
-}
-
 int Main(int argc, const char* const* argv) {
   const auto args = ParseArgs(argc, argv);
   if (!args.has_value()) return 2;
@@ -927,11 +917,11 @@ int Main(int argc, const char* const* argv) {
     }
     if (args->command == "help" || args->command == "--help") {
       if (RejectPositionals(*args)) return 2;
-      std::printf("%s", kUsage);
+      std::fputs(UsageText().c_str(), stdout);
       return 0;
     }
     std::fprintf(stderr, "xcv: unknown command '%s'\n%s",
-                 args->command.c_str(), kUsage);
+                 args->command.c_str(), UsageText().c_str());
     return 2;
   } catch (const InternalError& e) {
     std::fprintf(stderr, "xcv: %s\n", e.what());

@@ -18,30 +18,10 @@
 // union the results (and verdict caches) back into one report.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "conditions/conditions.h"
-#include "functionals/functional.h"
-
 namespace xcv::cli {
 
 /// Entry point (argv semantics). Returns the process exit code: 0 success,
 /// 2 usage/config error, 130 cancelled by signal.
 int Main(int argc, const char* const* argv);
-
-/// Parses a comma-separated condition spec: short ids ("EC3"), ranges
-/// ("EC1..EC4" or "EC2-EC5"), or "all". Throws xcv::InternalError on
-/// unknown ids; result is deduplicated, in paper (Table I row) order.
-std::vector<const conditions::ConditionInfo*> ParseConditionList(
-    const std::string& spec);
-
-/// Parses a comma-separated functional spec: registry names ("pbe",
-/// "VWN_RPA"), family selectors ("lda", "gga", "mgga" — every paper
-/// functional of that family), or "all" (the five paper DFAs). Throws
-/// xcv::InternalError on unknown names; result is deduplicated, in paper
-/// (Table I column) order first, extensions after.
-std::vector<const functionals::Functional*> ParseFunctionalList(
-    const std::string& spec);
 
 }  // namespace xcv::cli

@@ -13,6 +13,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -347,6 +348,66 @@ TEST(JobSpecValidateTest, RejectsOutOfRangeFields) {
   s = good;
   s.runtime.quarantine_after = 0;
   EXPECT_THROW(api::ValidateJobSpec(s), InternalError);
+}
+
+TEST(JobSpecValidateTest, ThreadsAreCappedAtTheDoor) {
+  // Jobs share the process pool, which grows to the largest request, so a
+  // spec may not ask for an unbounded thread count. Checked by validation
+  // alone — no test here starts the threads.
+  static_assert(api::kMaxJobThreads > 4, "above every CI/benchmark value");
+  api::JobSpec s = api::DefaultJobSpec();
+  s.options.num_threads = api::kMaxJobThreads;
+  EXPECT_NO_THROW(api::ValidateJobSpec(s));
+  s.options.num_threads = api::kMaxJobThreads + 1;
+  EXPECT_THROW(api::ValidateJobSpec(s), InternalError);
+  EXPECT_THROW(api::ParseJobSpecJson(R"({"threads": 100000})"),
+               InternalError);
+
+  DaemonOptions options;
+  options.state_dir = FreshStateDir("threads-cap");
+  options.port = 0;
+  Daemon daemon(options);
+  daemon.Start();
+  EXPECT_EQ(daemon
+                .Handle({"POST", "/v1/campaigns", {}, {},
+                         R"({"functionals": "lda", "threads": 100000})"})
+                .status,
+            400);
+  daemon.Stop();
+}
+
+TEST(JobSpecJsonTest, IntegerFieldsGoThroughTheCheckedReader) {
+  // 2.7 used to become 2 and 1e30 was an undefined int conversion; both
+  // are now rejected with the field named.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {R"({"threads": 2.7})", "threads"},
+      {R"({"threads": 1e30})", "threads"},
+      {R"({"solver": {"max_nodes": 2.5}})", "max_nodes"},
+      {R"({"solver": {"max_nodes": -1}})", "max_nodes"},
+      {R"({"solver": {"max_nodes": 1e30}})", "max_nodes"},
+      {R"({"solver": {"wave_width": 8.5}})", "wave_width"},
+      {R"({"solver": {"contraction_rounds": 1e30}})", "contraction_rounds"},
+      {R"({"solver": {"max_invalid_models": 0.5}})", "max_invalid_models"},
+      {R"({"solver": {"presample_points": -1e30}})", "presample_points"},
+      {R"({"runtime": {"max_retries": 1.5}})", "max_retries"},
+      {R"({"runtime": {"preemptible_tries": 1e30}})", "preemptible_tries"},
+      {R"({"runtime": {"quarantine_after": 2.2}})", "quarantine_after"},
+      {R"({"runtime": {"quarantine_cooldown_epochs": 1e30}})",
+       "quarantine_cooldown_epochs"}};
+  for (const auto& [doc, field] : bad) {
+    try {
+      api::ParseJobSpecJson(doc);
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  // An integral double is the integer it spells.
+  const api::JobSpec spec = api::ParseJobSpecJson(
+      R"({"threads": 4.0, "solver": {"max_nodes": 2e3}})");
+  EXPECT_EQ(spec.options.num_threads, 4);
+  EXPECT_EQ(spec.options.verifier.solver.max_nodes, 2000u);
 }
 
 TEST(JobSpecTest, PopulateCampaignMatchesInitialPairsOrder) {
